@@ -26,12 +26,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Set, Tuple
 
 import repro.obs as _obs
+from repro.artifacts.cache import SolveCache
 from repro.graphs.graph import Graph
-from repro.ilp.exact import (
-    SolveCache,
-    solve_covering_exact,
-    solve_packing_exact,
-)
+from repro.ilp.exact import solve_covering_exact, solve_packing_exact
 from repro.ilp.instance import CoveringInstance, PackingInstance
 from repro.local.gather import gather_ball
 from repro.util.validation import require

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
+from repro.artifacts.cache import SolveCache
 from repro.core.carve import grow_and_carve_covering
 from repro.core.params import CoveringParams
 from repro.decomp.sparse_cover import (
@@ -37,7 +38,7 @@ from repro.decomp.sparse_cover import (
 )
 from repro.graphs.csr import check_backend
 from repro.graphs.graph import Graph
-from repro.ilp.exact import SolveCache, solve_covering_exact
+from repro.ilp.exact import solve_covering_exact
 from repro.ilp.instance import FEASIBILITY_TOL, CoveringInstance
 from repro.local.gather import RoundLedger, gather_ball
 from repro.util.rng import SeedLike, spawn_rngs

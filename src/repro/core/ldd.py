@@ -92,12 +92,12 @@ def chang_li_ldd(
     gather) over the partitioned ranks of :mod:`repro.mpc`, metering
     per-round communication — partitions are bit-identical to
     ``"local"`` at any rank count.  ``mpc`` is either an
-    :class:`~repro.mpc.MpcConfig` (a run is started on ``graph.csr()``
-    and closed on exit) or an already-started :class:`~repro.mpc.MpcRun`
-    on the same graph (kept open so the caller can read ``run.meter``
-    afterwards); ``None`` means ``MpcConfig()`` (a single rank).  Phase
-    3 (Elkin–Neiman and the final components) stays coordinator-local —
-    see the execution-backend matrix in ``src/repro/exp/README.md``.
+    :class:`~repro.mpc.MpcConfig` (a run is started on ``graph.csr()``)
+    or an already-started :class:`~repro.mpc.MpcRun` on the same graph
+    (so the caller can read ``run.meter`` afterwards); ``None`` means
+    ``MpcConfig()`` (a single rank).  Phase 3 (Elkin–Neiman and the
+    final components) stays coordinator-local — see the
+    execution-backend matrix in ``src/repro/exp/README.md``.
     """
     check_backend(backend)
     check_execution_backend(execution_backend)
@@ -106,7 +106,6 @@ def chang_li_ldd(
         weights is None or len(weights) == n, "need one weight per vertex"
     )
     mpc_run: Optional[MpcRun] = None
-    owns_run = False
     if execution_backend == "mpc":
         require(
             backend == "csr",
@@ -115,7 +114,6 @@ def chang_li_ldd(
         config = MpcConfig() if mpc is None else mpc
         if isinstance(config, MpcConfig):
             mpc_run = config.start(graph.csr()) if n else None
-            owns_run = mpc_run is not None
         else:
             mpc_run = config
     ledger = RoundLedger()
@@ -127,114 +125,110 @@ def chang_li_ldd(
     remaining: Set[int] = set(range(n))
     deleted: Set[int] = set()
 
-    try:
-        # -- Estimate n_v = |N^{4tR}(v)| (Algorithm 2, line 1). -------
-        # The hot path: one batched frontier expansion replaces n
-        # single-source gathers on the CSR backend.
-        estimates: Dict[int, float] = {}
-        max_depth = 0
-        with _obs.span("ldd.estimate_nv"):
-            if mpc_run is not None:
-                sizes, depths = mpc_run.all_ball_sizes(
-                    params.estimate_radius, weights=weights
-                )
-                estimates = {v: float(sizes[v]) for v in range(n)}
-                max_depth = int(depths.max())
-            elif backend == "csr" and n:
-                sizes, depths = graph.csr().all_ball_sizes(
-                    params.estimate_radius,
-                    weights=weights,
-                    kernel_workers=kernel_workers,
-                )
-                estimates = {v: float(sizes[v]) for v in range(n)}
-                max_depth = int(depths.max())
-            else:
-                for v in range(n):
-                    gathered = gather_ball(graph, [v], params.estimate_radius)
-                    estimates[v] = _measure(gathered.ball, weights)
-                    max_depth = max(max_depth, gathered.depth_reached)
-        ledger.charge("estimate-nv", params.estimate_radius, max_depth)
-
-        # -- Phase 1: t sparsification iterations (Algorithm 2). ------
-        for i in range(1, params.t + 1):
-            interval = params.interval(i)
-            centers = [
-                v
-                for v in sorted(remaining)
-                if rngs[v].random()
-                < params.sampling_probability(i, max(1, int(estimates[v])))
-            ]
-            _apply_carves(
-                graph,
-                centers,
-                interval,
-                remaining,
-                deleted,
-                ledger,
-                f"phase1-iter{i}",
-                weights,
-                trace,
-                backend,
-                kernel_workers,
-                mpc_run,
+    # -- Estimate n_v = |N^{4tR}(v)| (Algorithm 2, line 1). -------
+    # The hot path: one batched frontier expansion replaces n
+    # single-source gathers on the CSR backend.
+    estimates: Dict[int, float] = {}
+    max_depth = 0
+    with _obs.span("ldd.estimate_nv"):
+        if mpc_run is not None:
+            sizes, depths = mpc_run.all_ball_sizes(
+                params.estimate_radius, weights=weights
             )
-
-        # -- Phase 2: one boosted iteration (Algorithm 3). ------------
-        if not skip_phase2:
-            interval = params.phase2_interval()
-            centers = [
-                v
-                for v in sorted(remaining)
-                if rngs[n + v].random()
-                < params.phase2_probability(max(1, int(estimates[v])))
-            ]
-            _apply_carves(
-                graph,
-                centers,
-                interval,
-                remaining,
-                deleted,
-                ledger,
-                "phase2",
-                weights,
-                trace,
-                backend,
-                kernel_workers,
-                mpc_run,
+            estimates = {v: float(sizes[v]) for v in range(n)}
+            max_depth = int(depths.max())
+        elif backend == "csr" and n:
+            sizes, depths = graph.csr().all_ball_sizes(
+                params.estimate_radius,
+                weights=weights,
+                kernel_workers=kernel_workers,
             )
+            estimates = {v: float(sizes[v]) for v in range(n)}
+            max_depth = int(depths.max())
+        else:
+            for v in range(n):
+                gathered = gather_ball(graph, [v], params.estimate_radius)
+                estimates[v] = _measure(gathered.ball, weights)
+                max_depth = max(max_depth, gathered.depth_reached)
+    ledger.charge("estimate-nv", params.estimate_radius, max_depth)
+
+    # -- Phase 1: t sparsification iterations (Algorithm 2). ------
+    for i in range(1, params.t + 1):
+        interval = params.interval(i)
+        centers = [
+            v
+            for v in sorted(remaining)
+            if rngs[v].random()
+            < params.sampling_probability(i, max(1, int(estimates[v])))
+        ]
+        _apply_carves(
+            graph,
+            centers,
+            interval,
+            remaining,
+            deleted,
+            ledger,
+            f"phase1-iter{i}",
+            weights,
+            trace,
+            backend,
+            kernel_workers,
+            mpc_run,
+        )
+
+    # -- Phase 2: one boosted iteration (Algorithm 3). ------------
+    if not skip_phase2:
+        interval = params.phase2_interval()
+        centers = [
+            v
+            for v in sorted(remaining)
+            if rngs[n + v].random()
+            < params.phase2_probability(max(1, int(estimates[v])))
+        ]
+        _apply_carves(
+            graph,
+            centers,
+            interval,
+            remaining,
+            deleted,
+            ledger,
+            "phase2",
+            weights,
+            trace,
+            backend,
+            kernel_workers,
+            mpc_run,
+        )
+    if trace is not None:
+        trace.residual_after_phase2 = len(remaining)
+    _obs.gauge("ldd.residual_after_phase2", len(remaining))
+
+    # -- Phase 3: Elkin–Neiman on the residual graph. --------------
+    # Coordinator-local on either execution backend (the EN flood
+    # and the components are not metered MPC rounds; see README).
+    if remaining:
+        with _obs.span("ldd.phase3_en"):
+            en = elkin_neiman_ldd(
+                graph,
+                params.phase3_lambda,
+                ntilde=params.ntilde,
+                seed=rngs[2 * n],
+                within=remaining,
+                backend=backend,
+            )
+        deleted |= en.deleted
+        ledger.merge(en.ledger, prefix="phase3-")
         if trace is not None:
-            trace.residual_after_phase2 = len(remaining)
-        _obs.gauge("ldd.residual_after_phase2", len(remaining))
+            trace.phase3_deleted = len(en.deleted)
+        _obs.count("ldd.phase3_deleted", len(en.deleted))
 
-        # -- Phase 3: Elkin–Neiman on the residual graph. --------------
-        # Coordinator-local on either execution backend (the EN flood
-        # and the components are not metered MPC rounds; see README).
-        if remaining:
-            with _obs.span("ldd.phase3_en"):
-                en = elkin_neiman_ldd(
-                    graph,
-                    params.phase3_lambda,
-                    ntilde=params.ntilde,
-                    seed=rngs[2 * n],
-                    within=remaining,
-                    backend=backend,
-                )
-            deleted |= en.deleted
-            ledger.merge(en.ledger, prefix="phase3-")
-            if trace is not None:
-                trace.phase3_deleted = len(en.deleted)
-            _obs.count("ldd.phase3_deleted", len(en.deleted))
-
-        with _obs.span("ldd.components"):
-            clusters = [
-                set(c)
-                for c in graph.connected_components(
-                    within=set(range(n)) - deleted, backend=backend
-                )
-            ]
-    finally:
-        if owns_run and mpc_run is not None:
-            mpc_run.close()
+    with _obs.span("ldd.components"):
+        clusters = [
+            set(c)
+            for c in graph.connected_components(
+                within=set(range(n)) - deleted, backend=backend
+            )
+        ]
     return Decomposition(
         clusters=clusters,
         deleted=deleted,

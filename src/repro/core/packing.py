@@ -28,12 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Set, Tuple
 
+from repro.artifacts.cache import SolveCache
 from repro.core.carve import grow_and_carve_packing
 from repro.core.params import PackingParams
 from repro.decomp.elkin_neiman import elkin_neiman_ldd
 from repro.graphs.csr import check_backend
 from repro.graphs.graph import Graph
-from repro.ilp.exact import SolveCache, solve_packing_exact
+from repro.ilp.exact import solve_packing_exact
 from repro.ilp.instance import PackingInstance
 from repro.local.gather import RoundLedger, gather_ball
 from repro.util.rng import SeedLike, spawn_rngs

@@ -35,14 +35,11 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple
 
+from repro.artifacts.cache import SolveCache
 from repro.decomp.linial_saks import linial_saks_decomposition
 from repro.decomp.network_decomposition import NetworkDecomposition
 from repro.graphs.graph import Graph
-from repro.ilp.exact import (
-    SolveCache,
-    solve_covering_exact,
-    solve_packing_exact,
-)
+from repro.ilp.exact import solve_covering_exact, solve_packing_exact
 from repro.ilp.instance import CoveringInstance, PackingInstance
 from repro.local.gather import RoundLedger, gather_ball
 from repro.util.rng import SeedLike

@@ -136,12 +136,6 @@ def shifted_flood(
     return records
 
 
-def argmax_record(records: List[ShiftRecord]) -> ShiftRecord:
-    """The winning record (records are produced in decreasing key order)."""
-    require(bool(records), "vertex heard no sources (it is always its own)")
-    return records[0]
-
-
 def within_one_sources(records: List[ShiftRecord]) -> List[ShiftRecord]:
     """All records with value within 1 of the maximum (Lemma C.2 rule)."""
     if not records:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.artifacts.cache import SolveCache
 from repro.decomp.shifts import (
     rounds_for_flood,
     sample_shifts,
@@ -28,7 +29,7 @@ from repro.decomp.shifts import (
 from repro.decomp.types import SparseCover
 from repro.graphs.csr import check_backend
 from repro.graphs.hypergraph import Hypergraph
-from repro.ilp.exact import SolveCache, solve_covering_exact
+from repro.ilp.exact import solve_covering_exact
 from repro.ilp.instance import CoveringInstance
 from repro.local.gather import RoundLedger
 from repro.util.rng import SeedLike

@@ -65,34 +65,26 @@ def coordinate_parallelism(
     workers: int,
     prefer_kernel_parallelism: bool = False,
     kernel_workers: Optional[int] = None,
-    ranks: int = 1,
 ) -> Tuple[int, int]:
     """Split one worker budget between trial- and kernel-sharding.
 
     Returns ``(trial_workers, kernel_workers)`` with
-    ``max(trial_workers, 1) * kernel_workers * max(ranks, 1) <=
-    max(workers, 1) * max(ranks // workers, 1)`` — concretely, the
-    budget is first divided by the scenario's simulated-rank count
-    (``ranks``, the third parallelism level: scenarios whose grid
-    carries a ``ranks`` key run partitioned executions that may back
-    each rank with a process), and the remainder is split between
-    trial- and kernel-sharding exactly as before, so
-    ``trials x kernel_workers x ranks`` never oversubscribes.
-    ``ranks=1`` (the default, and every rank-free scenario) reduces to
-    the historical two-level rule.  ``trial_workers == 0`` means "run
-    trials inline" (no trial pool): that is the resolution for scale
-    scenarios that declare ``prefer_kernel_parallelism`` — one trial at
-    a time with every core in the chunk-sharded kernels.  An explicit
+    ``max(trial_workers, 1) * kernel_workers <= max(workers, 1)``, so
+    ``trials x kernel_workers`` never oversubscribes.  Simulated MPC
+    ranks (:mod:`repro.mpc`) run in process and take no share of the
+    budget.  ``trial_workers == 0`` means "run trials inline" (no trial
+    pool): that is the resolution for scale scenarios that declare
+    ``prefer_kernel_parallelism`` — one trial at a time with every
+    core in the chunk-sharded kernels.  An explicit
     ``kernel_workers`` caps kernel sharding and gives the rest of the
     budget to trial sharding.
     """
     budget = max(1, workers)
-    effective = max(1, budget // max(1, ranks))
     if kernel_workers is None:
-        resolved_kernel = effective if prefer_kernel_parallelism else 1
+        resolved_kernel = budget if prefer_kernel_parallelism else 1
     else:
-        resolved_kernel = max(1, min(int(kernel_workers), effective))
-    trial_workers = effective // resolved_kernel
+        resolved_kernel = max(1, min(int(kernel_workers), budget))
+    trial_workers = budget // resolved_kernel
     if workers <= 0 or trial_workers <= 1:
         trial_workers = 0
     return trial_workers, resolved_kernel
@@ -312,17 +304,10 @@ def run_scenario(
     per_point = scn.trials if trials is None else trials
     per_trial_timeout = scn.timeout if timeout is None else timeout
     version = code_version()
-    # Partitioned-execution scenarios carry their simulated-rank count
-    # in the grid; budget for the worst point so no point in the sweep
-    # oversubscribes (rank-free grids infer 1 — the historical rule).
-    grid_ranks = max(
-        (int(point.get("ranks", 1)) for point in points), default=1
-    )
     trial_workers, trial_kernel_workers = coordinate_parallelism(
         workers,
         getattr(scn, "prefer_kernel_parallelism", False),
         kernel_workers,
-        ranks=grid_ranks,
     )
 
     traced = _obs.resolve_obs(obs)

@@ -786,21 +786,18 @@ def _mpc_comm_trial(params: Dict[str, Any], ctx: TrialContext) -> Dict[str, Any]
             graph, ldd_params, seed=algo_seed, execution_backend="local"
         )
     run = MpcConfig(ranks=params["ranks"]).start(graph.csr())
-    try:
-        with _obs.span("trial.ldd_mpc"):
-            partitioned = chang_li_ldd(
-                graph,
-                ldd_params,
-                seed=algo_seed,
-                execution_backend="mpc",
-                mpc=run,
-            )
-        totals = run.meter.totals()
-        series = run.meter.max_rank_series()
-        budget = run.comm_budget_bytes
-        within = run.within_comm_budget()
-    finally:
-        run.close()
+    with _obs.span("trial.ldd_mpc"):
+        partitioned = chang_li_ldd(
+            graph,
+            ldd_params,
+            seed=algo_seed,
+            execution_backend="mpc",
+            mpc=run,
+        )
+    totals = run.meter.totals()
+    series = run.meter.max_rank_series()
+    budget = run.comm_budget_bytes
+    within = run.within_comm_budget()
     identical = (
         partitioned.deleted == local.deleted
         and partitioned.clusters == local.clusters

@@ -57,25 +57,6 @@ def cut_size(graph: Graph, side: Iterable[int]) -> int:
     return sum(1 for u, v in graph.edges() if (u in s) != (v in s))
 
 
-def independence_number_bound_lp(graph: Graph) -> float:
-    """Fractional (LP) upper bound on the independence number.
-
-    For regular graphs this is n/2; in general we solve the fractional
-    relaxation in :mod:`repro.ilp.lp`, but a cheap combinatorial bound
-    (n - matching lower bound) is often enough for sanity checks.
-    """
-    # Greedy maximal matching gives a lower bound on the matching number;
-    # alpha(G) <= n - matching number.
-    matched: Set[int] = set()
-    size = 0
-    for u, v in graph.edges():
-        if u not in matched and v not in matched:
-            matched.add(u)
-            matched.add(v)
-            size += 1
-    return graph.n - size
-
-
 @dataclass(frozen=True)
 class DecompositionStats:
     """Summary of a low-diameter decomposition's quality.

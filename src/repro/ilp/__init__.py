@@ -19,6 +19,7 @@ LP-relaxation helpers and :mod:`repro.ilp.verify` the guarantee
 assertions used by the benches.
 """
 
+from repro.artifacts.cache import SolveCache
 from repro.ilp.instance import (
     FEASIBILITY_TOL,
     Constraint,
@@ -39,7 +40,6 @@ from repro.ilp.problems import (
 )
 from repro.ilp.exact import (
     ExactSolution,
-    SolveCache,
     max_weight_independent_set,
     solve_covering_exact,
     solve_mwis,

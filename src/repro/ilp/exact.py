@@ -36,12 +36,7 @@ from typing import (
     Tuple,
 )
 
-# Deprecated import location: SolveCache moved to repro.artifacts.cache
-# (the L1 tier of the persistent artifact store) in the serving-layer
-# refactor.  Re-exported here so every existing ``from repro.ilp[.exact]
-# import SolveCache`` keeps working — same class, same keys, so resumed
-# scenario rows are byte-identical to pre-move runs.
-from repro.artifacts.cache import SolveCache  # noqa: F401
+from repro.artifacts.cache import SolveCache
 from repro.ilp.instance import (
     FEASIBILITY_TOL,
     Constraint,
@@ -503,11 +498,6 @@ def solve_covering_exact(
     if cache is not None:
         cache.store(key, solution)
     return solution
-
-
-def solve_covering_subinstance(sub: CoveringInstance) -> ExactSolution:
-    """Solve an already-restricted covering instance exactly."""
-    return _solve_covering_dispatch(sub, set(range(sub.n)))
 
 
 def _solve_covering_dispatch(

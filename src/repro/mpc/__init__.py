@@ -15,11 +15,10 @@ Layering:
   halo, and the exchange plan;
 * :mod:`repro.mpc.metering` — :class:`CommMeter`, the per-round
   per-rank bytes/messages series (shared with the CONGEST audit);
-* :mod:`repro.mpc.transport` — how ranks execute local steps:
-  in-process simulated ranks (default) or process-backed ranks over
-  :mod:`repro.transport`;
 * :mod:`repro.mpc.driver` — the round drivers, bit-identical to the
-  serial kernels at any rank count.
+  serial kernels at any rank count.  Ranks are simulated in process:
+  each rank step is a direct call on the shard's
+  :class:`~repro.mpc.partition.ShardKernel`, in rank order.
 
 Entry point::
 
@@ -49,13 +48,6 @@ from repro.mpc.partition import (
     check_layout,
     partition_graph,
 )
-from repro.mpc.transport import (
-    TRANSPORTS,
-    ProcessTransport,
-    SimulatedTransport,
-    check_transport,
-    make_transport,
-)
 from repro.util.validation import require
 
 #: The execution-backend arms of the LDD drivers: ``"local"`` is the
@@ -74,17 +66,16 @@ def check_execution_backend(execution_backend: str) -> None:
 
 
 class MpcRun:
-    """One partitioned execution: partition + transport + meter.
+    """One partitioned execution: partition + meter.
 
     Callers keep the run object across driver calls so the meter
     accumulates the whole execution's round series (the LDD threads it
     through every gather), then read ``run.meter`` afterwards.
     """
 
-    def __init__(self, csr, partition: GraphPartition, transport) -> None:
+    def __init__(self, csr, partition: GraphPartition) -> None:
         self.csr = csr
         self.partition = partition
-        self.transport = transport
         self.meter = CommMeter(partition.ranks, prefix="mpc", unit="bytes")
 
     @property
@@ -123,57 +114,42 @@ class MpcRun:
     ) -> np.ndarray:
         return mpc_bfs_distances(self, sources, radius=radius, within=within)
 
-    def close(self) -> None:
-        self.transport.close()
-
 
 @dataclass(frozen=True)
 class MpcConfig:
     """Declarative description of a partitioned execution.
 
     ``ranks=None`` lets ``memory_budget`` (bytes per machine) drive a
-    doubling search for the smallest fitting rank count; ``transport``
-    picks how rank steps execute (see :mod:`repro.mpc.transport`).
+    doubling search for the smallest fitting rank count.
     """
 
     ranks: Optional[int] = 1
     memory_budget: Optional[int] = None
     layout: str = "contiguous"
-    transport: str = "simulated"
-    transport_workers: Optional[int] = None
 
     def start(self, csr) -> MpcRun:
-        """Partition ``csr`` and open a run (transport + fresh meter)."""
+        """Partition ``csr`` and open a run with a fresh meter."""
         check_layout(self.layout)
-        check_transport(self.transport)
         partition = partition_graph(
             csr,
             ranks=self.ranks,
             memory_budget=self.memory_budget,
             layout=self.layout,
         )
-        transport = make_transport(
-            self.transport, partition, workers=self.transport_workers
-        )
-        return MpcRun(csr, partition, transport)
+        return MpcRun(csr, partition)
 
 
 __all__ = [
     "EXECUTION_BACKENDS",
     "LAYOUTS",
-    "TRANSPORTS",
     "CommMeter",
     "GraphPartition",
     "MpcConfig",
     "MpcRun",
-    "ProcessTransport",
     "RankShard",
     "ShardKernel",
-    "SimulatedTransport",
     "check_execution_backend",
     "check_layout",
-    "check_transport",
-    "make_transport",
     "mpc_all_ball_sizes",
     "mpc_bfs_distances",
     "partition_graph",

@@ -143,13 +143,14 @@ def _sweep_chunk(
                     slots = shards[dst_rank].recv_from[src_rank][live_rows]
                     frontier_local[dst_rank][slots] = rows[live_rows]
             # (2) Rank-local expansion of the owned rows.
-            payloads = [
+            reaches = [
                 None
                 if shards[r].kernel.n_owned == 0
-                else (frontier_local[r], visited[r], mask_owned[r])
+                else shards[r].kernel.expand(
+                    frontier_local[r], visited[r], mask_owned[r]
+                )
                 for r in range(ranks)
             ]
-            reaches = run.transport.shard_step("expand", payloads)
             # (3) Live-lane OR-allreduce, combined in rank order.
             live_words = np.zeros(words, dtype=np.uint64)
             for r in range(ranks):
@@ -234,18 +235,17 @@ def mpc_bfs_distances(
             accepted_parts: List[np.ndarray] = []
             with meter.round("bfs.level"):
                 owner = part.owner[frontier]
-                payloads = []
+                candidate_lists: List[Optional[np.ndarray]] = []
                 for r, shard in enumerate(part.shards):
                     mine = frontier[owner == r]
                     if mine.size == 0:
-                        payloads.append(None)
+                        candidate_lists.append(None)
                     else:
-                        payloads.append(
-                            (np.searchsorted(shard.kernel.owned, mine),)
+                        candidate_lists.append(
+                            shard.kernel.neighbors_global(
+                                np.searchsorted(shard.kernel.owned, mine)
+                            )
                         )
-                candidate_lists = run.transport.shard_step(
-                    "bfs_neighbors", payloads
-                )
                 # Route candidates to their owners; owners apply the
                 # fresh/mask filters element-wise, exactly the serial
                 # order (ownership is disjoint, so per-owner filtering

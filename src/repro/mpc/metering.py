@@ -23,8 +23,7 @@ models.
 
 Everything recorded is a pure function of the caller's arguments (no
 clocks, no sampling), so metering tables are bit-reproducible across
-transports and repeat runs — a property the rank-determinism suite
-pins.
+repeat runs — a property the rank-determinism suite pins.
 """
 
 from __future__ import annotations

@@ -55,8 +55,7 @@ class ShardKernel:
     expansion below computes exactly what the single-box reduceat
     computes for the owned rows.
 
-    Instances are rebuilt worker-side from shared arrays by the process
-    transport; everything derived here is O(local size).
+    Everything derived here is O(local size).
     """
 
     __slots__ = (
@@ -123,9 +122,7 @@ class ShardKernel:
         ``frontier_local`` is the (n_local, W) frontier — owned rows
         first, halo rows as received this round (absent halo rows stay
         zero, exactly the value they carry).  Returns the newly-reached
-        bits of the owned rows; the caller ORs them into ``visited``
-        (kept outside so the process transport's shipped copy and the
-        simulated transport's in-place array behave identically).
+        bits of the owned rows; the caller ORs them into ``visited``.
         """
         words = frontier_local.shape[1]
         if self.n_owned == 0:

@@ -1,8 +1,7 @@
 """``repro.transport`` — shared-memory worker plumbing, extracted.
 
-The process-parallel kernel layer (:mod:`repro.graphs.parallel`) and
-the partitioned-execution layer (:mod:`repro.mpc`) need the same
-plumbing: publish numpy arrays once through
+The process-parallel kernel layer (:mod:`repro.graphs.parallel`) needs
+this plumbing: publish numpy arrays once through
 :mod:`multiprocessing.shared_memory`, let spawned workers attach by
 name with zero copies, keep the attachments in a bounded LRU cache,
 and fan tasks out over cached :class:`ProcessPoolExecutor` pools with
@@ -25,12 +24,6 @@ Lifecycle contract (the RPL101 rule enforces the shape):
   failing forever, and the parent's segments stay owned by the parent
   (their ``weakref.finalize``/``close`` path still unlinks them — a
   crashed worker cannot leak them).
-
-Transports built on this module: the in-process simulated ranks of
-:mod:`repro.mpc` (default — deterministic, zero-copy), its optional
-process-backed ranks, and the per-chunk kernel pools of
-:mod:`repro.graphs.parallel`.  A real MPI transport would slot in at
-the same seam.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ randomness does not depend on iteration order.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Union
+from typing import Iterable, List, Union
 
 import numpy as np
 
@@ -104,22 +104,6 @@ class LazyRngStreams:
         return stream
 
 
-def exponential_capped(rng: RngStream, lam: float, cap: float) -> float:
-    """Sample Exp(``lam``) and reset to 0 when exceeding ``cap``.
-
-    This is the truncation used by the Elkin–Neiman decomposition
-    (Lemma C.1): values above ``4 ln n / lambda`` would require messages
-    to travel further than the round budget, so the vertex resets its
-    shift to zero and proceeds.
-    """
-    if lam <= 0:
-        raise ValueError(f"lam must be positive, got {lam}")
-    value = rng.exponential(1.0 / lam)
-    if value >= cap:
-        return 0.0
-    return value
-
-
 def bernoulli(rng: RngStream, p: float) -> bool:
     """One biased coin flip with success probability ``min(p, 1)``."""
     if p <= 0:
@@ -127,14 +111,6 @@ def bernoulli(rng: RngStream, p: float) -> bool:
     if p >= 1:
         return True
     return bool(rng.random() < p)
-
-
-def choose_distinct(rng: RngStream, items: Sequence[int], k: int) -> List[int]:
-    """Sample ``k`` distinct items (or all of them if fewer)."""
-    if k >= len(items):
-        return list(items)
-    picked = rng.choice(len(items), size=k, replace=False)
-    return [items[int(i)] for i in picked]
 
 
 def stable_seed_from(values: Iterable[int], salt: int = 0) -> int:
@@ -150,36 +126,3 @@ def stable_seed_from(values: Iterable[int], salt: int = 0) -> int:
         for v in values:
             acc = (acc ^ np.uint64(v & (2**63 - 1))) * prime
     return int(acc & np.uint64(2**63 - 1))
-
-
-class DeferredCoins:
-    """Pre-drawn Bernoulli coins addressable by (round, vertex).
-
-    The analysis of limited-dependence Chernoff bounds (Lemma A.3) needs
-    per-vertex coins that are independent across vertices.  Drawing them
-    lazily keyed by (round, vertex) keeps engine implementations free to
-    iterate vertices in any order while remaining reproducible.
-    """
-
-    def __init__(self, seed: SeedLike, salt: int = 0) -> None:
-        if isinstance(seed, np.random.Generator):
-            self._base = int(seed.integers(0, 2**63))
-        elif isinstance(seed, np.random.SeedSequence):
-            self._base = int(np.random.default_rng(seed).integers(0, 2**63))
-        elif seed is None:
-            self._base = int(np.random.default_rng().integers(0, 2**63))
-        else:
-            self._base = int(seed)
-        self._salt = salt
-
-    def flip(self, round_index: int, vertex: int, p: float) -> bool:
-        rng = np.random.default_rng(
-            stable_seed_from((self._base, round_index, vertex), self._salt)
-        )
-        return bernoulli(rng, p)
-
-    def uniform(self, round_index: int, vertex: int) -> float:
-        rng = np.random.default_rng(
-            stable_seed_from((self._base, round_index, vertex), self._salt)
-        )
-        return float(rng.random())

@@ -329,38 +329,40 @@ class TestParallelismCoordination:
         assert max(trial_workers, 1) * kernel_workers <= max(workers, 1)
 
     @pytest.mark.parametrize(
-        "workers,prefer,kernel,ranks,expected",
+        "workers,kernel,expected_env",
         [
-            (4, False, None, 1, (4, 1)),   # ranks=1 is the historical rule
-            (8, False, None, 4, (2, 1)),   # per-rank share shards trials
-            (8, True, None, 4, (0, 2)),    # scale: the share goes to kernels
-            (4, False, None, 16, (0, 1)),  # ranks exceed budget: inline+serial
-            (16, False, 2, 4, (2, 2)),     # explicit kernel cap under ranks
-            (16, False, 8, 4, (0, 4)),     # kernel ask clamped to the share
-            (0, False, None, 4, (0, 1)),   # inline stays inline
+            (8, None, "8"),   # the whole budget goes to the kernels
+            (4, None, "4"),
+            (2, None, "2"),
+            (1, None, "1"),
+            (0, None, "1"),   # inline stays inline and serial
+            (8, 8, "8"),      # explicit kernel ask equal to the budget
+            (3, 16, "3"),     # kernel ask clamped to the whole budget
         ],
     )
-    def test_split_with_ranks(self, workers, prefer, kernel, ranks, expected):
-        from repro.exp import coordinate_parallelism
-
-        split = coordinate_parallelism(workers, prefer, kernel, ranks=ranks)
-        assert split == expected
-        trial_workers, kernel_workers = split
-        # trials x kernels fit the per-rank share of the budget, so
-        # trials x kernels x ranks never oversubscribes overall.
-        share = max(1, max(1, workers) // max(1, ranks))
-        assert max(trial_workers, 1) * kernel_workers <= share
-
-    def test_grid_ranks_reach_the_coordination_split(self):
-        # The runner budgets for the worst ranks value in the expanded
-        # grid: workers=8 with ranks up to 4 leaves 2 lanes, handed to
-        # the kernels (prefer_kernel_parallelism) with trials inline.
+    def test_grid_ranks_take_no_share_of_the_budget(
+        self, workers, kernel, expected_env
+    ):
+        # Simulated MPC ranks run in process, so a ``ranks`` grid key
+        # leaves the split exactly as for a rank-free scale scenario:
+        # trials inline, every lane pinned for the kernels.
         import os
 
-        result = run_scenario(get("test-ranked"), workers=8)
+        from repro.exp import coordinate_parallelism
+
+        assert coordinate_parallelism(workers, True, kernel) == (
+            0,
+            int(expected_env),
+        )
+        result = run_scenario(
+            get("test-ranked"), workers=workers, kernel_workers=kernel
+        )
         assert result.statuses == {"ok": 2}
+        assert sorted(row["metrics"]["ranks"] for row in result.rows) == [1, 4]
         assert {row["metrics"]["pid"] for row in result.rows} == {os.getpid()}
-        assert [row["metrics"]["kernel_env"] for row in result.rows] == ["2"] * 2
+        assert [row["metrics"]["kernel_env"] for row in result.rows] == [
+            expected_env
+        ] * 2
 
     def test_prefer_runs_trials_serially_with_kernel_workers_set(self):
         result = run_scenario(get("test-kernel-pref"), workers=4, trials=3)

@@ -14,7 +14,7 @@ from repro.graphs import (
     path_graph,
     validate_partition,
 )
-from repro.graphs.metrics import cut_size, independence_number_bound_lp
+from repro.graphs.metrics import cut_size
 
 
 class TestSolutionChecks:
@@ -45,10 +45,6 @@ class TestSolutionChecks:
         g = cycle_graph(6)
         assert cut_size(g, {0, 2, 4}) == 6
         assert cut_size(g, {0, 1, 2}) == 2
-
-    def test_lp_bound(self):
-        g = cycle_graph(6)
-        assert independence_number_bound_lp(g) >= 3
 
 
 class TestDecompositionValidation:

@@ -6,10 +6,12 @@ The contract under test (ISSUE 8, mirroring the kernel-worker suite in
 {1, 2, 4, 8} — under both layouts, with radius caps, residual masks,
 source subsets and forced tiny partitions (empty shards) — and the
 per-round metering tables are bit-reproducible across repeat runs and
-across transports.  Weighted ball sizes are the documented exception:
+pinned as literals.  Weighted ball sizes are the documented exception:
 identical across *rank counts*, allclose vs the serial harvest (float
 summation order differs; same caveat as the csr/python parity).
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from repro.graphs.graph import Graph
 from repro.mpc import (
     EXECUTION_BACKENDS,
     MpcConfig,
+    ShardKernel,
     check_execution_backend,
     partition_graph,
 )
@@ -45,6 +48,89 @@ def _graphs():
 GRAPHS = _graphs()
 RANKS = [1, 2, 4, 8]
 LAYOUTS = ["contiguous", "hash"]
+
+
+# The metering of one fixed workload, pinned as literals so a driver
+# rewrite that moves a byte or a message fails: grid_graph(14, 17) at
+# ranks 4, all_ball_sizes(radius=4, chunk_size=13) then
+# bfs_distances([0, 5, 9], radius=3).  Per round: 19 chunks of
+# (4 ball levels + 1 harvest), then 3 BFS levels.
+PINNED_LABELS = (["ball.level"] * 4 + ["ball.harvest"]) * 19 + ["bfs.level"] * 3
+PINNED_METERING = {
+    "contiguous": {
+        "bytes": [
+            48, 48, 128, 352, 1536, 48, 64, 288, 528, 1536, 48, 256, 496, 544,
+            1536, 208, 416, 480, 512, 1536, 256, 496, 544, 784, 1536, 224, 448,
+            672, 896, 1536, 48, 352, 816, 1040, 1536, 80, 336, 752, 976, 1536,
+            256, 496, 656, 1024, 1536, 256, 496, 576, 944, 1536, 144, 368, 736,
+            1040, 1536, 48, 400, 848, 992, 1536, 176, 400, 720, 992, 1536, 256,
+            480, 528, 736, 1536, 256, 480, 528, 640, 1536, 48, 272, 528, 576,
+            1536, 48, 112, 336, 512, 1536, 48, 48, 176, 384, 1536, 48, 48, 48,
+            112, 1536, 0, 0, 8,
+        ],
+        "messages": [
+            6, 6, 7, 8, 3, 6, 7, 8, 8, 3, 6, 7, 8, 8, 3, 7, 8, 8, 9, 3, 8, 8,
+            8, 9, 3, 7, 8, 9, 10, 3, 6, 8, 10, 10, 3, 7, 9, 10, 10, 3, 7, 8, 9,
+            11, 3, 8, 8, 9, 11, 3, 7, 8, 9, 10, 3, 6, 8, 10, 10, 3, 7, 8, 9,
+            10, 3, 8, 8, 9, 10, 3, 7, 8, 8, 9, 3, 6, 7, 8, 8, 3, 6, 7, 8, 8, 3,
+            6, 6, 7, 8, 3, 6, 6, 6, 7, 3, 0, 0, 1,
+        ],
+        "max_rank_bytes": [
+            48, 48, 128, 352, 1536, 48, 64, 288, 528, 1536, 48, 256, 496, 544,
+            1536, 208, 416, 480, 496, 1536, 256, 496, 544, 752, 1536, 224, 448,
+            640, 864, 1536, 48, 320, 784, 1008, 1536, 48, 304, 720, 944, 1536,
+            224, 464, 624, 880, 1536, 224, 464, 544, 752, 1536, 112, 336, 704,
+            1008, 1536, 48, 368, 816, 960, 1536, 144, 368, 688, 960, 1536, 224,
+            448, 496, 704, 1536, 224, 448, 496, 608, 1536, 48, 240, 496, 544,
+            1536, 48, 80, 304, 480, 1536, 48, 48, 144, 352, 1536, 48, 48, 48,
+            80, 1536, 0, 0, 8,
+        ],
+        "totals": {
+            "bytes": 61192,
+            "messages": 662,
+            "rounds": 98,
+            "max_round_rank_bytes": 1536,
+        },
+    },
+    "hash": {
+        "bytes": [
+            448, 896, 1376, 1888, 1536, 464, 1216, 1792, 2304, 1536, 464, 1360,
+            2112, 2720, 1536, 464, 1328, 2256, 2784, 1536, 464, 1360, 2352,
+            3408, 1536, 464, 1360, 2352, 3312, 1536, 464, 1360, 2384, 3472,
+            1536, 464, 1360, 2320, 3248, 1536, 464, 1360, 2384, 3472, 1536,
+            464, 1360, 2320, 3248, 1536, 464, 1360, 2384, 3472, 1536, 464,
+            1360, 2352, 3312, 1536, 464, 1360, 2352, 3408, 1536, 464, 1328,
+            2256, 3184, 1536, 464, 1360, 2384, 3168, 1536, 464, 1360, 2240,
+            2816, 1536, 464, 1312, 1824, 2368, 1536, 464, 912, 1392, 1904,
+            1536, 160, 320, 512, 672, 1536, 64, 208, 344,
+        ],
+        "messages": [
+            14, 14, 14, 14, 3, 14, 14, 14, 14, 3, 14, 14, 14, 14, 3, 14, 14,
+            14, 14, 3, 14, 14, 14, 14, 3, 14, 14, 14, 14, 3, 14, 14, 14, 14, 3,
+            14, 14, 14, 14, 3, 14, 14, 14, 14, 3, 14, 14, 14, 14, 3, 14, 14,
+            14, 14, 3, 14, 14, 14, 14, 3, 14, 14, 14, 14, 3, 14, 14, 14, 14, 3,
+            14, 14, 14, 14, 3, 14, 14, 14, 14, 3, 14, 14, 14, 14, 3, 14, 14,
+            14, 14, 3, 13, 14, 14, 14, 3, 3, 6, 6,
+        ],
+        "max_rank_bytes": [
+            256, 480, 720, 976, 1536, 256, 624, 912, 1216, 1536, 240, 688,
+            1120, 1408, 1536, 256, 688, 1184, 1408, 1536, 272, 720, 1200, 1728,
+            1536, 256, 704, 1216, 1696, 1536, 240, 688, 1264, 1808, 1536, 256,
+            704, 1216, 1680, 1536, 272, 720, 1232, 1776, 1536, 256, 704, 1216,
+            1680, 1536, 240, 688, 1264, 1808, 1536, 256, 704, 1216, 1696, 1536,
+            272, 720, 1200, 1728, 1536, 256, 688, 1184, 1600, 1536, 240, 688,
+            1264, 1648, 1536, 256, 704, 1152, 1488, 1536, 272, 704, 928, 1200,
+            1536, 256, 480, 720, 976, 1536, 112, 192, 320, 384, 1536, 64, 144,
+            248,
+        ],
+        "totals": {
+            "bytes": 155432,
+            "messages": 1135,
+            "rounds": 98,
+            "max_round_rank_bytes": 1808,
+        },
+    },
+}
 
 
 def _bytes(arrays):
@@ -122,7 +208,6 @@ class TestBallSizeBitIdentity:
                 serial = csr.all_ball_sizes(kernel_workers=1, **kwargs)
                 sharded = run.all_ball_sizes(**kwargs)
                 assert _bytes(serial) == _bytes(sharded), (layout, kwargs)
-            run.close()
 
     def test_weighted_sizes_allclose_and_rank_invariant(
         self, label, graph, ranks
@@ -141,7 +226,6 @@ class TestBallSizeBitIdentity:
             MpcConfig(ranks=1).start(csr).all_ball_sizes(weights=weights, chunk_size=17)
         )
         assert _bytes(baseline) == _bytes(sharded)
-        run.close()
 
 
 @pytest.mark.parametrize("ranks", RANKS)
@@ -163,36 +247,62 @@ class TestBfsBitIdentity:
                 serial = csr.bfs_distances(sources, **kwargs)
                 sharded = run.bfs_distances(sources, **kwargs)
                 assert serial.tobytes() == sharded.tobytes(), (layout, kwargs)
-            run.close()
 
 
 class TestMeterDeterminism:
-    def test_round_table_reproducible_across_repeat_runs(self):
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_round_table_reproducible_across_repeat_runs(self, layout):
         csr = grid_graph(14, 17).csr()
-        tables = []
+        runs = []
         for _ in range(2):
-            run = MpcConfig(ranks=4).start(csr)
+            run = MpcConfig(ranks=4, layout=layout).start(csr)
             run.all_ball_sizes(radius=4, chunk_size=13)
             run.bfs_distances([0, 5, 9], radius=3)
-            tables.append(run.meter.round_table())
-            run.close()
-        assert tables[0] == tables[1]
-        assert any(entry["bytes"] > 0 for entry in tables[0])
+            runs.append((run.meter.round_table(), run.meter.totals()))
+        assert runs[0] == runs[1]
+        table, totals = runs[0]
+        pin = PINNED_METERING[layout]
+        assert [e["round"] for e in table] == list(range(len(PINNED_LABELS)))
+        assert [e["label"] for e in table] == PINNED_LABELS
+        for key in ("bytes", "messages", "max_rank_bytes"):
+            assert [e[key] for e in table] == pin[key], key
+        assert totals == pin["totals"]
 
-    def test_simulated_and_process_transports_agree(self):
-        csr = random_regular(240, 3, np.random.default_rng(7)).csr()
-        runs = {}
-        for transport in ("simulated", "process"):
-            run = MpcConfig(ranks=3, transport=transport).start(csr)
-            sizes = run.all_ball_sizes(radius=4, chunk_size=64)
-            dist = run.bfs_distances([1, 2], radius=3)
-            runs[transport] = (
-                _bytes(sizes),
-                dist.tobytes(),
-                run.meter.round_table(),
-            )
-            run.close()
-        assert runs["simulated"] == runs["process"]
+    @pytest.mark.parametrize(
+        "layout,totals",
+        [
+            (
+                "contiguous",
+                {
+                    "bytes": 23288,
+                    "messages": 295,
+                    "rounds": 55,
+                    "max_round_rank_bytes": 1432,
+                },
+            ),
+            (
+                "hash",
+                {
+                    "bytes": 56672,
+                    "messages": 536,
+                    "rounds": 55,
+                    "max_round_rank_bytes": 1424,
+                },
+            ),
+        ],
+    )
+    def test_weighted_masked_metering_pinned(self, layout, totals):
+        # The weighted harvest ships each rank's visited block to the
+        # coordinator, a path the unweighted pin above never takes.
+        csr = grid_graph(14, 17).csr()
+        weights = [1.0 + (v % 5) * 0.25 for v in range(csr.n)]
+        within = [v for v in range(csr.n) if v % 7 != 3]
+        run = MpcConfig(ranks=4, layout=layout).start(csr)
+        run.all_ball_sizes(radius=3, weights=weights, within=within, chunk_size=29)
+        run.bfs_distances([0, 100, 237], within=within)
+        table = run.meter.round_table()
+        assert sum(e["label"] == "ball.harvest" for e in table) == 9
+        assert run.meter.totals() == totals
 
     def test_single_rank_moves_no_bytes(self):
         csr = grid_graph(8, 8).csr()
@@ -202,7 +312,78 @@ class TestMeterDeterminism:
         assert totals["bytes"] == 0 and totals["messages"] == 0
         assert totals["rounds"] > 0
         assert run.within_comm_budget()
-        run.close()
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize(
+    "graph,ranks",
+    [(grid_graph(3, 2), 8), (random_regular(240, 3, np.random.default_rng(7)), 3)],
+    ids=["empty-shards", "regular"],
+)
+class TestRankSteps:
+    """Each rank step is a direct call on the shard's kernel, made in
+    rank order and skipped for a rank with nothing to do."""
+
+    @staticmethod
+    def _record(monkeypatch, run, method):
+        rank_of = {id(s.kernel): r for r, s in enumerate(run.partition.shards)}
+        calls = []
+        original = getattr(ShardKernel, method)
+
+        def recorded(kernel, *args):
+            calls.append(rank_of[id(kernel)])
+            return original(kernel, *args)
+
+        monkeypatch.setattr(ShardKernel, method, recorded)
+        return calls
+
+    def test_expand_runs_on_every_nonempty_rank_in_order(
+        self, monkeypatch, graph, ranks, layout
+    ):
+        csr = graph.csr()
+        run = MpcConfig(ranks=ranks, layout=layout).start(csr)
+        calls = self._record(monkeypatch, run, "expand")
+        sizes = run.all_ball_sizes(radius=4, chunk_size=csr.n)
+        assert _bytes(sizes) == _bytes(csr.all_ball_sizes(4, chunk_size=csr.n))
+        nonempty = [
+            r for r, s in enumerate(run.partition.shards) if s.kernel.n_owned
+        ]
+        levels = sum(
+            e["label"] == "ball.level" for e in run.meter.round_table()
+        )
+        assert levels > 0
+        assert calls == nonempty * levels
+
+    def test_neighbors_run_on_frontier_owners_in_order(
+        self, monkeypatch, graph, ranks, layout
+    ):
+        csr = graph.csr()
+        run = MpcConfig(ranks=ranks, layout=layout).start(csr)
+        calls = self._record(monkeypatch, run, "neighbors_global")
+        radius = 3
+        dist = run.bfs_distances([0, csr.n - 1], radius=radius)
+        assert dist.tobytes() == csr.bfs_distances(
+            [0, csr.n - 1], radius=radius
+        ).tobytes()
+        owner = run.partition.owner
+        expected = []
+        for d in range(min(int(dist.max()), radius - 1) + 1):
+            expected += sorted(set(owner[dist == d].tolist()))
+        assert calls == expected
+
+
+class TestMpcSurface:
+    def test_config_has_three_settable_fields_and_nothing_to_close(self):
+        assert [f.name for f in dataclasses.fields(MpcConfig)] == [
+            "ranks",
+            "memory_budget",
+            "layout",
+        ]
+        with pytest.raises(TypeError):
+            MpcConfig(ranks=2, transport="process")
+        run = MpcConfig(ranks=2).start(grid_graph(4, 4).csr())
+        assert not hasattr(run, "close")
+        assert not hasattr(run, "transport")
 
 
 class TestTinyPartitions:
@@ -219,7 +400,6 @@ class TestTinyPartitions:
                 csr.bfs_distances([0, 3]).tobytes()
                 == run.bfs_distances([0, 3]).tobytes()
             )
-            run.close()
 
     def test_shattered_graph_with_empty_and_edgeless_shards(self):
         _, graph = GRAPHS[3]
@@ -227,7 +407,6 @@ class TestTinyPartitions:
         serial = csr.all_ball_sizes(None, chunk_size=11)
         run = MpcConfig(ranks=8, layout="hash").start(csr)
         assert _bytes(serial) == _bytes(run.all_ball_sizes(chunk_size=11))
-        run.close()
 
 
 class TestLddExecutionBackend:
@@ -252,9 +431,8 @@ class TestLddExecutionBackend:
         assert totals["rounds"] > 0
         if ranks > 1:
             assert totals["bytes"] > 0
-        run.close()
 
-    def test_config_form_owns_and_closes_its_run(self):
+    def test_config_form_bit_identical_to_local(self):
         graph = grid_graph(10, 10)
         params = LddParams.practical(0.3, graph.n)
         local = chang_li_ldd(graph, params, seed=5)

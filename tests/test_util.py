@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from repro.util.rng import (
-    DeferredCoins,
     bernoulli,
     ensure_rng,
-    exponential_capped,
     spawn_rngs,
     stable_seed_from,
 )
@@ -41,12 +39,6 @@ class TestRng:
         with pytest.raises(ValueError):
             spawn_rngs(1, -1)
 
-    def test_exponential_capped(self):
-        rng = ensure_rng(2)
-        values = [exponential_capped(rng, 1.0, 2.0) for _ in range(500)]
-        assert all(0 <= v < 2.0 for v in values)
-        assert any(v == 0.0 for v in values)  # resets happen
-
     def test_bernoulli_edges(self):
         rng = ensure_rng(3)
         assert not bernoulli(rng, 0.0)
@@ -55,14 +47,6 @@ class TestRng:
     def test_stable_seed(self):
         assert stable_seed_from([1, 2, 3]) == stable_seed_from([1, 2, 3])
         assert stable_seed_from([1, 2, 3]) != stable_seed_from([3, 2, 1])
-
-    def test_deferred_coins_reproducible(self):
-        coins = DeferredCoins(9)
-        again = DeferredCoins(9)
-        for r in range(3):
-            for v in range(5):
-                assert coins.flip(r, v, 0.5) == again.flip(r, v, 0.5)
-        assert coins.uniform(0, 0) == again.uniform(0, 0)
 
 
 class TestTable:
