@@ -59,22 +59,6 @@ _GATHER_BUDGET_BYTES = 64 << 20
 #: distributions (stars, hubs) fall back to the segmented reduceat.
 _PAD_WASTE_FACTOR = 8
 
-#: Relative cost of touching one frontier-incident edge in the sparse
-#: early phase of :meth:`CsrGraph._ball_chunk` versus one uint64 word
-#: in a packed full-width pass.  A BFS level stays on sparse index
-#: frontiers while ``factor * frontier_edges < nnz * words`` and
-#: switches to the packed sweep once the frontiers densify.  ``inf``
-#: forces the packed sweep from level 0 (the historical behaviour);
-#: ``0`` keeps every level sparse — both produce bit-identical sizes
-#: and depths (tests exercise the forced settings).  256 is the
-#: empirical break-even on this container: the sort-dedupe + scatter
-#: per candidate pair costs ~2 orders more than a packed word, so only
-#: genuinely tiny early frontiers are worth running sparse (n = 10^5
-#: random 3-regular, radius-capped sweep: 37 s -> 31 s; the
-#: run-to-saturation sweep is level-bound in its dense middle and gains
-#: ~2%).
-_SPARSE_COST_FACTOR = 256.0
-
 #: Bit patterns of every byte value, MSB first — matches the packed
 #: column layout of :meth:`CsrGraph._seed_packed` / ``np.unpackbits``.
 _BYTE_BITS = np.unpackbits(
@@ -319,20 +303,12 @@ class CsrGraph:
     # Internals
     # ------------------------------------------------------------------
     def residual_mask(self, within: Optional[Iterable[int]]) -> Optional[np.ndarray]:
-        """Boolean (n,) mask of a residual vertex set.
+        """Boolean (n,) mask of a residual vertex set, or None.
 
-        The canonical set-to-mask conversion: carving drivers build it
-        once per residual snapshot and pass it as ``within`` to every
-        kernel call of that snapshot (masks pass through untouched).
-        """
-        return self._allowed_mask(within)
-
-    def _allowed_mask(self, within: Optional[Iterable[int]]) -> Optional[np.ndarray]:
-        """Boolean (n,) mask for a residual vertex set, or None.
-
-        A boolean (n,) array passes through unchanged, so callers that
-        run many kernels against the same residual snapshot (the carving
-        drivers) can build the mask once.
+        The canonical set-to-mask conversion behind every kernel's
+        ``within``.  A boolean (n,) array passes through unchanged, so
+        callers that run many kernels against the same residual snapshot
+        (the carving drivers) build the mask once and pass it along.
         """
         if within is None:
             return None
@@ -439,7 +415,7 @@ class CsrGraph:
         incident to the frontier.
         """
         require(radius is None or radius >= 0, "radius must be >= 0")
-        mask = self._allowed_mask(within)
+        mask = self.residual_mask(within)
         dist = np.full(self.n, -1, dtype=np.int64)
         src = np.fromiter(sources, dtype=np.int64)
         if src.size:
@@ -467,6 +443,52 @@ class CsrGraph:
             dist[frontier] = d
         return dist
 
+    def ball_sweep_inputs(
+        self,
+        radius: Optional[int],
+        weights: Optional[Sequence[float]],
+        within: Optional[Iterable[int]],
+        sources: Optional[Iterable[int]],
+        chunk_size: Optional[int],
+    ) -> Tuple[
+        Optional[np.ndarray],
+        Optional[np.ndarray],
+        np.ndarray,
+        np.ndarray,
+        List[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+    ]:
+        """Validated inputs of a ball-size sweep: the one argument
+        contract of :meth:`all_ball_sizes` and the partitioned driver
+        (:func:`repro.mpc.driver.mpc_all_ball_sizes`).
+
+        Returns ``(mask, w, sizes, depths, chunks)``: the residual mask,
+        the float64 weights (or None), zeroed output arrays with one
+        entry per source, and the source chunks as ``(sources,
+        sizes_view, depths_view)`` triples whose views write into the
+        outputs.
+        """
+        require(radius is None or radius >= 0, "radius must be >= 0")
+        mask = self.residual_mask(within)
+        if sources is None:
+            src = np.arange(self.n, dtype=np.int64)
+        else:
+            src = np.fromiter(sources, dtype=np.int64)
+            if src.size:
+                require(
+                    src.min() >= 0 and src.max() < self.n,
+                    "sources contain out-of-range vertices",
+                )
+        w = None if weights is None else np.asarray(weights, dtype=np.float64)
+        require(w is None or len(w) == self.n, "need one weight per vertex")
+        sizes = np.zeros(len(src), dtype=np.float64)
+        depths = np.zeros(len(src), dtype=np.int64)
+        chunk = self._chunk_width(chunk_size)
+        chunks = [
+            (src[lo : lo + chunk], sizes[lo : lo + chunk], depths[lo : lo + chunk])
+            for lo in range(0, len(src), chunk)
+        ]
+        return mask, w, sizes, depths, chunks
+
     def all_ball_sizes(
         self,
         radius: Optional[int] = None,
@@ -482,11 +504,12 @@ class CsrGraph:
         (or total ``weights``) of ``N^radius(sources[j])`` and
         ``depths[j]`` the largest BFS level that was non-empty — the
         per-source ``depth_reached`` of the equivalent gather.  This is
-        the Algorithm 2 hot path: one packed frontier expansion per BFS
-        level advances every source at once, and sources retire from
-        the sweep as soon as they saturate (see :meth:`_ball_chunk`) —
-        a whole-graph ``radius`` costs no more than the graph's
-        diameter in levels.
+        the Algorithm 2 hot path: sources are split into chunks, and
+        each chunk is one packed BFS in which a single frontier
+        expansion per level advances every source at once.  Sources
+        retire from the sweep as soon as they saturate (see
+        :meth:`_ball_chunk`), so a whole-graph ``radius`` costs no more
+        than the graph's diameter in levels.
 
         ``kernel_workers`` shards the (independent) source chunks over
         worker processes attached to the CSR arrays via shared memory;
@@ -496,44 +519,24 @@ class CsrGraph:
         through :func:`repro.graphs.parallel.resolve_kernel_workers`
         (``REPRO_KERNEL_WORKERS``, default serial).
         """
-        require(radius is None or radius >= 0, "radius must be >= 0")
-        mask = self._allowed_mask(within)
-        if sources is None:
-            src = np.arange(self.n, dtype=np.int64)
-        else:
-            src = np.fromiter(sources, dtype=np.int64)
-            if src.size:
-                require(
-                    src.min() >= 0 and src.max() < self.n,
-                    "sources contain out-of-range vertices",
-                )
-        w = None if weights is None else np.asarray(weights, dtype=np.float64)
-        require(w is None or len(w) == self.n, "need one weight per vertex")
-        sizes = np.zeros(len(src), dtype=np.float64)
-        depths = np.zeros(len(src), dtype=np.int64)
-        chunk = self._chunk_width(chunk_size)
-        chunks = [src[lo : lo + chunk] for lo in range(0, len(src), chunk)]
+        mask, w, sizes, depths, chunks = self.ball_sweep_inputs(
+            radius, weights, within, sources, chunk_size
+        )
         workers = _parallel.resolve_kernel_workers(kernel_workers)
         with _obs.span("csr.all_ball_sizes"):
             if workers > 1 and len(chunks) > 1:
                 results = _parallel.run_chunk_tasks(
-                    self, "ball", chunks, (radius, w, mask), workers
+                    self, "ball", [c[0] for c in chunks], (radius, w, mask), workers
                 )
-                lo = 0
-                for s_chunk, (s_sizes, s_depths) in zip(chunks, results, strict=True):
-                    hi = lo + len(s_chunk)
-                    sizes[lo:hi] = s_sizes
-                    depths[lo:hi] = s_depths
-                    lo = hi
+                for (_, s_sizes, s_depths), (r_sizes, r_depths) in zip(
+                    chunks, results, strict=True
+                ):
+                    s_sizes[:] = r_sizes
+                    s_depths[:] = r_depths
                 return sizes, depths
-            lo = 0
-            for s_chunk in chunks:
-                hi = lo + len(s_chunk)
+            for s_chunk, s_sizes, s_depths in chunks:
                 with _obs.span("csr.ball_chunk"):
-                    self._ball_chunk(
-                        s_chunk, radius, w, mask, sizes[lo:hi], depths[lo:hi]
-                    )
-                lo = hi
+                    self._ball_chunk(s_chunk, radius, w, mask, s_sizes, s_depths)
             return sizes, depths
 
     def _ball_chunk(
@@ -545,33 +548,25 @@ class CsrGraph:
         sizes_out: np.ndarray,
         depths_out: np.ndarray,
     ) -> None:
-        """Saturation-aware packed sweep of one source chunk.
+        """Saturation-retiring packed sweep of one source chunk.
 
-        A source whose frontier empties has saturated its (residual)
-        component — every remaining radius step is a no-op for it and
-        its ball size is final (``= |component|`` on an unrestricted
-        sweep).  Sources are packed 64 per uint64 word; once every
+        Sources are packed 64 per uint64 word, and one
+        :meth:`_PackedSweep.expand` per BFS level advances all of their
+        frontiers from level 0.  A source whose frontier empties has
+        saturated its (residual) component — every remaining radius
+        step is a no-op for it and its ball size is final
+        (``= |component|`` on an unrestricted sweep).  Once every
         source of a word has saturated, the word's sizes are harvested
         and the word is dropped from the sweep, shrinking each later
         level's gather width.  The chunk exits when all words have
         retired, so a whole-graph ``radius`` never runs past the
         residual diameter (the old kernel's failure mode at n = 10^5,
         where ``radius ≈ 900`` met a diameter-20 graph).
-
-        The first levels run on **sparse index frontiers** — arrays of
-        ``(vertex, lane)`` pairs — because a fresh BFS touches only a
-        handful of vertices per source while a packed pass always pays
-        the full ``(W·64)``-lane width; once the frontiers densify past
-        the :data:`_SPARSE_COST_FACTOR` break-even the chunk packs the
-        current frontier and continues on the packed sweep.  Both
-        phases update the same packed ``visited`` matrix, so sizes and
-        depths are bit-identical wherever the switch happens.
         """
         count = len(s_chunk)
         if count == 0:
             return
         visited = self._seed_packed(s_chunk, count, mask)
-        words = visited.shape[1]
 
         def harvest(packed: np.ndarray, word_ids: np.ndarray) -> None:
             totals = _column_weights(packed, w)
@@ -580,66 +575,11 @@ class CsrGraph:
                 top = min(count, base + 64)
                 sizes_out[base:top] = totals[64 * j : 64 * j + (top - base)]
 
-        # --- sparse early phase ------------------------------------------
-        bytes_view = visited.view(np.uint8)  # (n, 8*words), MSB-first bytes
-        nbytes = words * 8
-        shift = (words * 64 - 1).bit_length()  # lane bits of the pair key
-        fv = np.asarray(s_chunk, dtype=np.int64)
-        fl = np.arange(count, dtype=np.int64)
-        if mask is not None:
-            seeded = mask[fv]
-            fv, fl = fv[seeded], fl[seeded]
-        r = 0
-        packed_cost = max(self.nnz, 1) * words
-        while fv.size and (radius is None or r < radius):
-            edge_work = int(self.degrees[fv].sum())
-            if not edge_work * _SPARSE_COST_FACTOR < packed_cost:
-                _obs.gauge("csr.ball.handover_level", r)
-                break  # densified: hand over to the packed sweep
-            _obs.count("csr.ball.sparse_levels")
-            _obs.count("csr.ball.sparse_frontier_edges", edge_work)
-            _obs.gauge("csr.ball.peak_frontier_edges", edge_work)
-            pair_lanes = np.repeat(fl, self.degrees[fv])
-            keys = np.unique((self._neighbors_of(fv) << shift) | pair_lanes)
-            nv, nl = keys >> shift, keys & ((1 << shift) - 1)
-            if mask is not None:
-                allowed = mask[nv]
-                nv, nl = nv[allowed], nl[allowed]
-            byte_idx = nl >> 3
-            bits = (1 << (7 - (nl & 7))).astype(np.uint8)
-            fresh = (bytes_view[nv, byte_idx] & bits) == 0
-            nv, nl = nv[fresh], nl[fresh]
-            if nv.size == 0:
-                fv = nv
-                break  # every source saturated during the sparse phase
-            r += 1
-            # Scatter the fresh bits byte-wise.  The key sort left equal
-            # (vertex, byte) runs adjacent, so reduceat-summing the (per
-            # pair unique) bits combines each byte's update in one pass
-            # and the final fancy OR touches every byte position once —
-            # the element-wise ``bitwise_or.at`` ufunc loop costs ~10x.
-            byte_idx, bits = byte_idx[fresh], bits[fresh]
-            flat = nv * nbytes + byte_idx
-            run_starts = np.concatenate(
-                ([0], np.nonzero(np.diff(flat))[0] + 1)
-            )
-            combined = np.add.reduceat(bits.astype(np.uint8), run_starts)
-            bytes_view[nv[run_starts], byte_idx[run_starts]] |= combined
-            depths_out[nl] = r
-            fv, fl = nv, nl
-        if not fv.size or (radius is not None and r >= radius):
-            harvest(visited, np.arange(words, dtype=np.int64))
-            return
-
-        # --- packed phase ------------------------------------------------
-        active = np.arange(words, dtype=np.int64)  # original word ids
-        sweep = _PackedSweep(self, words)
-        frontier = np.zeros_like(visited)
-        fb = frontier.view(np.uint8)
-        np.bitwise_or.at(
-            fb, (fv, fl >> 3), (1 << (7 - (fl & 7))).astype(np.uint8)
-        )
+        active = np.arange(visited.shape[1], dtype=np.int64)  # original word ids
+        sweep = _PackedSweep(self, len(active))
+        frontier = visited.copy()
         lanes = np.arange(64, dtype=np.int64)
+        r = 0
         while active.size and (radius is None or r < radius):
             new = sweep.expand(frontier, visited, mask)
             _obs.count("csr.ball.packed_levels")
@@ -687,7 +627,7 @@ class CsrGraph:
         sources — pass ``chunk_size`` to pin the serial chunking).
         """
         require(radius is None or radius >= 0, "radius must be >= 0")
-        mask = self._allowed_mask(within)
+        mask = self.residual_mask(within)
         src = np.fromiter(sources, dtype=np.int64)
         if src.size:
             require(
@@ -824,7 +764,7 @@ class CsrGraph:
         the graph shatters into many small components (the typical
         residual shape after LDD carving).
         """
-        mask = self._allowed_mask(within)
+        mask = self.residual_mask(within)
         seen = np.zeros(self.n, dtype=bool)
         if mask is not None:
             seen[~mask] = True
@@ -1009,7 +949,7 @@ class CsrGraph:
         """
         shifts_arr = np.asarray(shifts, dtype=np.float64)
         require(len(shifts_arr) == self.n, "need one shift per vertex")
-        mask = self._allowed_mask(within)
+        mask = self.residual_mask(within)
         neg = -np.inf
         b1v = np.full(self.n, neg)
         b1s = np.full(self.n, -1, dtype=np.int64)

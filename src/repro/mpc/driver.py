@@ -4,9 +4,9 @@ explicit exchange, bit-identical to the single-box kernels.
 Two primitives cover every BFS-shaped step of the LDD pipeline:
 
 * :func:`mpc_all_ball_sizes` — the ``n_v`` estimation sweep
-  (:meth:`~repro.graphs.csr.CsrGraph.all_ball_sizes`).  Chunk
-  boundaries are the serial kernel's (same
-  :meth:`~repro.graphs.csr.CsrGraph._chunk_width`); each chunk runs a
+  (:meth:`~repro.graphs.csr.CsrGraph.all_ball_sizes`).  Arguments and
+  chunk boundaries are the serial kernel's (both go through
+  :meth:`~repro.graphs.csr.CsrGraph.ball_sweep_inputs`); each chunk runs a
   level-synchronous packed sweep whose per-level state is row-sharded
   across the ranks.  One round per BFS level: (1) halo exchange —
   each rank sends the frontier rows its neighbors' owners need (only
@@ -14,9 +14,9 @@ Two primitives cover every BFS-shaped step of the LDD pipeline:
   src→dst pair), (2) rank-local reduceat expansion over owned rows,
   (3) a metered OR-allreduce of the live-lane words (rank order) that
   drives depths and termination.  The sweep is the serial
-  ``_ball_chunk`` without its sparse/handover/retirement phases — a
-  pure full-width variant the serial kernel documents (and tests) as
-  bit-identical in sizes and depths — so the final visited matrix,
+  ``_ball_chunk`` without its word retirement — a full-width
+  variant that is bit-identical in sizes and depths, because a retired
+  word's lanes never change again — so the final visited matrix,
   depths, and (exact-integer) unweighted sizes equal the single-box
   results at **any** rank count.  Weighted sizes are harvested on the
   coordinator from the reassembled full matrix: identical across rank
@@ -62,32 +62,13 @@ def mpc_all_ball_sizes(
     ``run`` is an :class:`~repro.mpc.MpcRun`; see the module docstring
     for the round structure and the bit-identity argument.
     """
-    csr = run.csr
-    require(radius is None or radius >= 0, "radius must be >= 0")
-    mask = csr._allowed_mask(within)
-    if sources is None:
-        src = np.arange(csr.n, dtype=np.int64)
-    else:
-        src = np.fromiter(sources, dtype=np.int64)
-        if src.size:
-            require(
-                src.min() >= 0 and src.max() < csr.n,
-                "sources contain out-of-range vertices",
-            )
-    w = None if weights is None else np.asarray(weights, dtype=np.float64)
-    require(w is None or len(w) == csr.n, "need one weight per vertex")
-    sizes = np.zeros(len(src), dtype=np.float64)
-    depths = np.zeros(len(src), dtype=np.int64)
-    chunk = csr._chunk_width(chunk_size)
+    mask, w, sizes, depths, chunks = run.csr.ball_sweep_inputs(
+        radius, weights, within, sources, chunk_size
+    )
     with _obs.span("mpc.all_ball_sizes"):
-        lo = 0
-        for s_chunk in (src[i : i + chunk] for i in range(0, len(src), chunk)):
-            hi = lo + len(s_chunk)
+        for s_chunk, s_sizes, s_depths in chunks:
             with _obs.span("mpc.ball_chunk"):
-                _sweep_chunk(
-                    run, s_chunk, radius, w, mask, sizes[lo:hi], depths[lo:hi]
-                )
-            lo = hi
+                _sweep_chunk(run, s_chunk, radius, w, mask, s_sizes, s_depths)
     return sizes, depths
 
 
@@ -213,7 +194,7 @@ def mpc_bfs_distances(
     """
     csr, part, meter = run.csr, run.partition, run.meter
     require(radius is None or radius >= 0, "radius must be >= 0")
-    mask = csr._allowed_mask(within)
+    mask = csr.residual_mask(within)
     dist = np.full(csr.n, -1, dtype=np.int64)
     src = np.fromiter(sources, dtype=np.int64)
     if src.size:

@@ -5,9 +5,8 @@ trial; this module is the metering substrate that localizes it: nested
 **spans** (``with obs.span("ldd.estimate_nv"): ...``) accumulate
 per-path call counts and wall time, **counters** accumulate monotonic
 work totals (``obs.count("csr.ball.words_retired", k)``) and **gauges**
-record last/peak values (``obs.gauge("csr.ball.peak_frontier_edges",
-e)`` — the peak-hold load signal the kernel-autotuning roadmap item
-needs).
+record last/peak values (``obs.gauge("ldd.residual_after_phase2",
+k)`` — the vertices the carving phases left behind).
 
 Design contract:
 

@@ -104,15 +104,6 @@ class LazyRngStreams:
         return stream
 
 
-def bernoulli(rng: RngStream, p: float) -> bool:
-    """One biased coin flip with success probability ``min(p, 1)``."""
-    if p <= 0:
-        return False
-    if p >= 1:
-        return True
-    return bool(rng.random() < p)
-
-
 def stable_seed_from(values: Iterable[int], salt: int = 0) -> int:
     """Deterministically hash a tuple of integers into a 63-bit seed.
 

@@ -112,6 +112,33 @@ class TestKernelEquivalence:
         for v in range(graph.n):
             expected = sum(weights[u] for u in graph.ball(v, 3))
             assert sizes[v] == pytest.approx(expected)
+        # explicit (repeated, unordered) sources map row j to sources[j]
+        sources = rng.integers(0, graph.n, size=min(graph.n, 11)).tolist()
+        s_sizes, s_depths = graph.csr().all_ball_sizes(
+            3, weights=weights, sources=sources, chunk_size=4
+        )
+        for j, v in enumerate(sources):
+            ref = gather_ball(graph, [v], 3)
+            assert s_sizes[j] == pytest.approx(sum(weights[u] for u in ref.ball))
+            assert s_depths[j] == ref.depth_reached
+
+    @pytest.mark.parametrize("radius", [None, 1, 3, 10**9])
+    @pytest.mark.parametrize("name,graph", POOL[::5])
+    def test_masked_ball_sizes_match_gather(self, name, graph, radius):
+        """Sizes and depths of plain and residual-masked sweeps equal the
+        pure-Python gather, with chunks small enough to split the pool
+        graphs."""
+        mask = _rng(name + "-masked").random(graph.n) < 0.7
+        within = set(np.nonzero(mask)[0].tolist())
+        gather_radius = graph.n + 1 if radius is None else radius
+        for kernel_within, ref_within in ((None, None), (mask, within)):
+            sizes, depths = graph.csr().all_ball_sizes(
+                radius, within=kernel_within, chunk_size=17
+            )
+            for v in range(graph.n):
+                ref = gather_ball(graph, [v], gather_radius, within=ref_within)
+                assert sizes[v] == len(ref.ball), (name, v)
+                assert depths[v] == ref.depth_reached, (name, v)
 
     @pytest.mark.parametrize("name,graph", POOL)
     def test_power(self, name, graph):
@@ -255,6 +282,26 @@ class TestSaturationShortcut:
         for v in range(graph.n):
             ball = gather_ball(graph, [v], graph.n + 1).ball
             assert sizes[v] == pytest.approx(sum(weights[u] for u in ball))
+
+    @pytest.mark.parametrize("radius", [None, 1, 3, 10**9])
+    def test_masked_multiword_chunks_match_gather(self, radius):
+        """A union of pool graphs swept in 130-source chunks (three
+        words each): words whose sources all sit in small or masked-out
+        components retire while their chunk-mates keep expanding."""
+        graph = POOL[0][1]
+        for _, part in POOL[5::5]:
+            graph = graph.union_disjoint(part)
+        mask = _rng("multiword").random(graph.n) < 0.7
+        within = set(np.nonzero(mask)[0].tolist())
+        gather_radius = graph.n + 1 if radius is None else radius
+        for chunk_size in (17, 130):
+            sizes, depths = graph.csr().all_ball_sizes(
+                radius, within=mask, chunk_size=chunk_size
+            )
+            for v in range(graph.n):
+                ref = gather_ball(graph, [v], gather_radius, within=within)
+                assert sizes[v] == len(ref.ball), (chunk_size, v)
+                assert depths[v] == ref.depth_reached, (chunk_size, v)
 
     def test_shattered_components_retire_early(self):
         """10^4 path-3 components: every source saturates by depth 2, so
@@ -416,58 +463,3 @@ class TestLddEndToEndBothBackends:
             assert (
                 ref.ledger.effective_rounds == fast.ledger.effective_rounds
             ), (name, seed)
-
-
-class TestSparseEarlyPhase:
-    """The sparse-index early phase of ``_ball_chunk`` is a pure
-    performance strategy: forcing the switch point to either extreme
-    must leave sizes and depths bit-identical."""
-
-    @pytest.mark.parametrize("factor", [0.0, 1.0, float("inf")])
-    def test_forced_threshold_bit_identical(self, monkeypatch, factor):
-        from repro.graphs import csr as csr_module
-
-        for name, graph in POOL[::5]:
-            c = graph.csr()
-            rng = _rng(name + "-sparse")
-            mask = rng.random(graph.n) < 0.7
-            for radius in (None, 1, 3, 10**9):
-                monkeypatch.setattr(csr_module, "_SPARSE_COST_FACTOR", float("inf"))
-                ref_sizes, ref_depths = c.all_ball_sizes(radius, chunk_size=17)
-                ref_m_sizes, ref_m_depths = c.all_ball_sizes(
-                    radius, within=mask, chunk_size=17
-                )
-                monkeypatch.setattr(csr_module, "_SPARSE_COST_FACTOR", factor)
-                sizes, depths = c.all_ball_sizes(radius, chunk_size=17)
-                m_sizes, m_depths = c.all_ball_sizes(
-                    radius, within=mask, chunk_size=17
-                )
-                assert np.array_equal(ref_sizes, sizes), (name, radius)
-                assert np.array_equal(ref_depths, depths), (name, radius)
-                assert np.array_equal(ref_m_sizes, m_sizes), (name, radius)
-                assert np.array_equal(ref_m_depths, m_depths), (name, radius)
-
-    def test_tiny_threshold_on_consumers(self, monkeypatch):
-        """A forced-sparse sweep drives the LDD end to end unchanged."""
-        from repro.graphs import csr as csr_module
-
-        graph = grid_graph(12, 12)
-        params = LddParams.practical(0.3, graph.n)
-        reference = chang_li_ldd(graph, params, seed=5, backend="csr")
-        monkeypatch.setattr(csr_module, "_SPARSE_COST_FACTOR", 0.0)
-        forced = chang_li_ldd(graph, params, seed=5, backend="csr")
-        assert forced.deleted == reference.deleted
-        assert forced.clusters == reference.clusters
-
-    def test_weighted_and_sources_with_forced_sparse(self, monkeypatch):
-        from repro.graphs import csr as csr_module
-
-        graph = POOL[3][1]
-        rng = _rng("sparse-weighted")
-        weights = rng.random(graph.n)
-        sources = rng.integers(0, graph.n, size=min(graph.n, 11))
-        ref = graph.csr().all_ball_sizes(3, weights=weights, sources=sources)
-        monkeypatch.setattr(csr_module, "_SPARSE_COST_FACTOR", 0.0)
-        forced = graph.csr().all_ball_sizes(3, weights=weights, sources=sources)
-        assert np.array_equal(ref[0], forced[0])
-        assert np.array_equal(ref[1], forced[1])

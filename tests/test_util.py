@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.util.rng import (
-    bernoulli,
     ensure_rng,
     spawn_rngs,
     stable_seed_from,
@@ -38,11 +37,6 @@ class TestRng:
     def test_spawn_count_validation(self):
         with pytest.raises(ValueError):
             spawn_rngs(1, -1)
-
-    def test_bernoulli_edges(self):
-        rng = ensure_rng(3)
-        assert not bernoulli(rng, 0.0)
-        assert bernoulli(rng, 1.0)
 
     def test_stable_seed(self):
         assert stable_seed_from([1, 2, 3]) == stable_seed_from([1, 2, 3])
