@@ -80,11 +80,21 @@ def chang_li_ldd(
     decompositions on either backend; weighted runs may differ at
     ``int(n_v)`` boundaries because float summation order differs.
 
-    ``kernel_workers`` (csr backend) shards the ``n_v`` estimation's
-    source chunks — the wall-clock bottleneck of every scale trial —
-    over worker processes via :mod:`repro.graphs.parallel`; the
-    decomposition is bit-identical at any worker count.  ``None``
-    resolves through ``REPRO_KERNEL_WORKERS`` (default serial).
+    On the csr backend an unweighted ``n_v`` estimation runs
+    :meth:`~repro.graphs.csr.CsrGraph.ball_size_estimate`: a vertex
+    whose ball provably covers its component takes the component size,
+    the maximum depth charged to the ledger is certified with a few
+    BFS rounds, and only the sources left open (unsaturated balls,
+    or every source of an expander whose depth will not certify) go
+    through the packed ``all_ball_sizes`` sweep.  Sizes and depth are
+    exactly the full sweep's.  Weighted estimates and
+    ``execution_backend="mpc"`` sweep every source.
+
+    ``kernel_workers`` (csr backend) shards the ``n_v`` sweep's
+    source chunks over worker processes via
+    :mod:`repro.graphs.parallel`; the decomposition is bit-identical
+    at any worker count.  ``None`` resolves through
+    ``REPRO_KERNEL_WORKERS`` (default serial).
 
     ``execution_backend`` selects the third parallelism level:
     ``"local"`` (default) keeps the whole graph on one box, ``"mpc"``
@@ -126,8 +136,9 @@ def chang_li_ldd(
     deleted: Set[int] = set()
 
     # -- Estimate n_v = |N^{4tR}(v)| (Algorithm 2, line 1). -------
-    # The hot path: one batched frontier expansion replaces n
-    # single-source gathers on the CSR backend.
+    # The hot path.  Only unweighted csr runs short-circuit saturated
+    # balls: weighted sizes are float sums in sweep order, and the mpc
+    # driver meters its sweep.
     estimates: Dict[int, float] = {}
     max_depth = 0
     with _obs.span("ldd.estimate_nv"):
@@ -138,13 +149,18 @@ def chang_li_ldd(
             estimates = {v: float(sizes[v]) for v in range(n)}
             max_depth = int(depths.max())
         elif backend == "csr" and n:
-            sizes, depths = graph.csr().all_ball_sizes(
-                params.estimate_radius,
-                weights=weights,
-                kernel_workers=kernel_workers,
-            )
+            if weights is None:
+                sizes, max_depth = graph.csr().ball_size_estimate(
+                    params.estimate_radius, kernel_workers=kernel_workers
+                )
+            else:
+                sizes, depths = graph.csr().all_ball_sizes(
+                    params.estimate_radius,
+                    weights=weights,
+                    kernel_workers=kernel_workers,
+                )
+                max_depth = int(depths.max())
             estimates = {v: float(sizes[v]) for v in range(n)}
-            max_depth = int(depths.max())
         else:
             for v in range(n):
                 gathered = gather_ball(graph, [v], params.estimate_radius)

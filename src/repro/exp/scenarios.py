@@ -413,13 +413,14 @@ def _ldd_quality_trial(params: Dict[str, Any], ctx: TrialContext) -> Dict[str, A
     description="LDD trial sweep at n = 10^5..3*10^5 plus unit-disk "
     "families (array-backed generators + saturation-aware CSR kernels; "
     "weak-diameter audit skipped at these sizes).  geometric-100000 is "
-    "the scale frontier: its ~230-hop diameter makes the one-shot "
-    "n_v-estimation sweep run ~13x more levels than the 3-regular "
-    "families (>= 1 h/trial on a 1-core container) — "
-    "prefer_kernel_parallelism hands each trial the whole worker "
-    "budget through the chunk-sharded kernels, which is what keeps "
-    "the point inside the nightly budget; the timeout covers the "
-    "serial worst case",
+    "the high-diameter point: the n_v estimate certifies its ~500-hop "
+    "max depth in 27 BFS rounds and sweeps no source, so one trial "
+    "takes ~12 s on a 2-core container (6.0 s graph build, 5.0 s LDD; "
+    "python -m repro.obs trace ldd-scale --set "
+    "family=geometric-100000).  The 3-regular points still sweep every "
+    "source — prefer_kernel_parallelism hands each trial the whole "
+    "worker budget through the chunk-sharded sweep; the timeout covers "
+    "the serial worst case",
     grid={
         "family": (
             "random-3-regular-100000",
@@ -853,7 +854,10 @@ def _kernel_speed_trial(params: Dict[str, Any], ctx: TrialContext) -> Dict[str, 
             ),
         )
     graph = grid_graph(rows, cols)
-    radius = 4 * 4 * 25
+    # A quarter of the grid's diameter: no ball saturates, which is the
+    # regime where the n_v estimate still runs the packed sweep (above
+    # the diameter it reads component sizes instead).
+    radius = (rows + cols - 2) // 4
 
     def estimate_python():
         for v in range(graph.n):

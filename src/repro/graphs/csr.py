@@ -11,6 +11,9 @@ amortize the traversal across all sources simultaneously:
   from every source at once, via bit-packed frontier expansion: the
   per-source visited sets are packed 8 sources per byte and one numpy
   ``bitwise_or.reduceat`` per BFS level advances *all* frontiers.
+* :meth:`CsrGraph.ball_size_estimate` — the unweighted ``n_v``
+  estimate: component sizes for provably saturated balls and a
+  certified maximum depth, sweeping only the sources left open.
 * :meth:`CsrGraph.bfs_distances` — single multi-source BFS with a
   sparse (index-array) frontier; work is proportional to the edges
   incident to the frontier, like the pure-Python BFS, but at C speed.
@@ -58,6 +61,19 @@ _GATHER_BUDGET_BYTES = 64 << 20
 #: stays within this factor of the CSR arrays; skewed degree
 #: distributions (stars, hubs) fall back to the segmented reduceat.
 _PAD_WASTE_FACTOR = 8
+
+#: :meth:`CsrGraph.ball_size_estimate` runs at least this many
+#: certification rounds (the first pivots only set the bounds up), then
+#: stops once its rounds have taken less than one packed word (64
+#: sources) each off the sweep it falls back to.
+_WARMUP_ROUNDS = 4
+
+#: Graphs at most this many packed words wide (768 vertices) skip the
+#: certification rounds.  Such a sweep is one narrow chunk whose levels
+#: cost about what one sparse BFS level does, so a handful of rounds
+#: costs more than the whole sweep: measured on grids, the rounds break
+#: even at about this width (784 vertices) and win 2-4x at 1.5-2k.
+_ESTIMATE_MIN_WORDS = 12
 
 #: Bit patterns of every byte value, MSB first — matches the packed
 #: column layout of :meth:`CsrGraph._seed_packed` / ``np.unpackbits``.
@@ -503,13 +519,16 @@ class CsrGraph:
         Returns ``(sizes, depths)``: ``sizes[j]`` is the vertex count
         (or total ``weights``) of ``N^radius(sources[j])`` and
         ``depths[j]`` the largest BFS level that was non-empty — the
-        per-source ``depth_reached`` of the equivalent gather.  This is
-        the Algorithm 2 hot path: sources are split into chunks, and
-        each chunk is one packed BFS in which a single frontier
-        expansion per level advances every source at once.  Sources
-        retire from the sweep as soon as they saturate (see
-        :meth:`_ball_chunk`), so a whole-graph ``radius`` costs no more
-        than the graph's diameter in levels.
+        per-source ``depth_reached`` of the equivalent gather.  Sources
+        are split into chunks, and each chunk is one packed BFS in
+        which a single frontier expansion per level advances every
+        source at once.  Sources retire from the sweep as soon as they
+        saturate (see :meth:`_ball_chunk`), so a whole-graph ``radius``
+        costs no more than the graph's diameter in levels.  The
+        Algorithm 2 ``n_v`` estimate sweeps every source only when it
+        is weighted or partitioned; unweighted, it goes through
+        :meth:`ball_size_estimate`, which sweeps just the sources its
+        saturation test and depth certificate leave open.
 
         ``kernel_workers`` shards the (independent) source chunks over
         worker processes attached to the CSR arrays via shared memory;
@@ -607,6 +626,119 @@ class CsrGraph:
         if active.size:
             _obs.count("csr.ball.words_retired", int(active.size))
             harvest(visited, active)
+
+    def ball_size_estimate(
+        self,
+        radius: Optional[int],
+        kernel_workers: Optional[int] = None,
+    ) -> Tuple[np.ndarray, int]:
+        """Unweighted ``|N^radius(v)|`` for every vertex, and the largest
+        per-source depth: ``(sizes, max_depth)`` with exactly the values
+        of ``sizes, depths = all_ball_sizes(radius)``;
+        ``max_depth = depths.max()``.
+
+        The ``n_v`` estimate of Algorithm 2 only reads the sizes and the
+        maximum depth, and its radius usually exceeds the diameter, so
+        most balls are whole components.  Instead of sweeping every
+        source, this runs bounding-eccentricity rounds (Takes–Kosters
+        2011): each round is one multi-source :meth:`bfs_distances` from
+        one pivot per still-open component, and ``d(p, v)`` with
+        ``ecc(p)`` bounds every ``ecc(v)`` in ``[max(d, ecc(p) − d),
+        ecc(p) + d]``.
+
+        * A vertex whose upper bound is ``<= radius`` is *saturated*:
+          its size is its component's vertex count (exact integers, so
+          bit-identical to the sweep's bit counts).
+        * ``max_depth = max_v min(radius, ecc(v))`` is certified once
+          no vertex's capped upper bound exceeds the best capped lower
+          bound.
+
+        Rounds stop when nothing is left open, or, after
+        ``_WARMUP_ROUNDS``, once they have taken less than one packed
+        word (64 sources) each off the sweep.  One BFS costs about one
+        swept word on an expander and far less on high-diameter
+        graphs, so this keeps the rounds near or below the sweep work
+        they save.  Vertex-transitive and expander graphs stop this
+        way after the warm-up.  The sources still unsaturated or
+        uncertified go through :meth:`all_ball_sizes` with
+        ``kernel_workers``.  A graph at most ``_ESTIMATE_MIN_WORDS``
+        packed words wide skips the rounds: its whole sweep costs less
+        than the rounds do.
+        """
+        require(radius is None or radius >= 0, "radius must be >= 0")
+        n = self.n
+        if -(-n // 64) <= _ESTIMATE_MIN_WORDS:
+            sizes, depths = self.all_ball_sizes(
+                radius, kernel_workers=kernel_workers
+            )
+            return sizes, int(depths.max()) if n else 0
+        with _obs.span("csr.ball_estimate"):
+            sizes, depth, swept = self._certify_balls(radius)
+        if swept.size:
+            s_sizes, s_depths = self.all_ball_sizes(
+                radius, sources=swept, kernel_workers=kernel_workers
+            )
+            sizes[swept] = s_sizes
+            depth = max(depth, int(s_depths.max()))
+        return sizes, depth
+
+    def _certify_balls(
+        self, radius: Optional[int]
+    ) -> Tuple[np.ndarray, int, np.ndarray]:
+        """The certification rounds of :meth:`ball_size_estimate`.
+
+        Returns ``(sizes, depth, open_sources)``: component sizes as
+        float64 (exact wherever the ball saturates), the largest
+        certified capped depth, and the sources the sweep must still
+        cover.  Its bound arrays are freed before that sweep runs.
+        """
+        n = self.n
+        labels = np.empty(n, dtype=np.int64)
+        for label, comp in enumerate(self.connected_components()):
+            labels[np.fromiter(comp, dtype=np.int64, count=len(comp))] = label
+        # Vertices grouped by component: per-component reductions are
+        # one reduceat over ``order`` split at ``starts``.
+        order = np.argsort(labels, kind="stable")
+        starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
+        big = 2 * n + 1  # above every eccentricity bound
+        cap = big if radius is None else radius
+        lower = np.zeros(n, dtype=np.int64)
+        upper = np.full(n, big, dtype=np.int64)
+        # Pivot keys: the bound first, then higher degree, then the
+        # smaller vertex id (``by_rank[key % n]`` decodes the vertex).
+        by_rank = np.lexsort((np.arange(n), -self.degrees))
+        tie = np.empty(n, dtype=np.int64)
+        tie[by_rank] = np.arange(n)
+        key = tie  # round 0: each component's highest-degree vertex
+        none = np.iinfo(np.int64).max
+        open_ = np.ones(n, dtype=bool)
+        rounds = 0
+        while open_.any():
+            best = np.minimum.reduceat(np.where(open_, key, none)[order], starts)
+            dist = self.bfs_distances(by_rank[best[best != none] % n])
+            rounds += 1
+            ecc = np.maximum.reduceat(dist[order], starts)[labels]
+            hit = dist >= 0
+            d, e = dist[hit], ecc[hit]
+            lower[hit] = np.maximum(lower[hit], np.maximum(d, e - d))
+            upper[hit] = np.minimum(upper[hit], e + d)
+            depth = int(np.minimum(lower, cap).max())
+            saturated = upper <= cap
+            uncertified = np.minimum(upper, cap) > depth
+            rest = ~saturated | uncertified
+            open_ = (~saturated & (lower <= cap)) | uncertified
+            retired = n - int(np.count_nonzero(rest))
+            if rounds >= _WARMUP_ROUNDS and retired < 64 * rounds:
+                break
+            # Alternate the Takes–Kosters selections: largest upper
+            # bound, then smallest lower bound.
+            key = (big - upper if rounds % 2 else lower) * n + tie
+        swept = np.flatnonzero(rest)
+        _obs.count("csr.ball_estimate.bfs_calls", rounds)
+        _obs.count("csr.ball_estimate.saturated", int(np.count_nonzero(saturated)))
+        _obs.count("csr.ball_estimate.swept", int(swept.size))
+        comp_size = np.diff(np.append(starts, n)).astype(np.float64)
+        return comp_size[labels], depth, swept
 
     def distances_from(
         self,

@@ -16,6 +16,8 @@ import zlib
 import numpy as np
 import pytest
 
+import repro.graphs.csr as csr_module
+import repro.obs as obs
 from repro.core import LddParams, chang_li_ldd
 from repro.decomp.shifts import sample_shifts, shifted_flood
 from repro.graphs import (
@@ -25,6 +27,8 @@ from repro.graphs import (
     cycle_graph,
     erdos_renyi,
     grid_graph,
+    path_graph,
+    random_regular,
 )
 from repro.graphs.csr import CsrGraph, check_backend
 from repro.local.gather import gather_ball
@@ -349,6 +353,152 @@ class TestSaturationShortcut:
         assert (pad[(pad >= 0)] <= graph.n).all()
 
 
+def _mixed_union():
+    """Isolated vertices, cycles and paths (whose depths do not certify)
+    beside a grid, a caterpillar and a sparse random graph."""
+    graph = Graph(7)
+    for part in (
+        cycle_graph(31),
+        path_graph(40),
+        grid_graph(5, 9),
+        cycle_graph(12),
+        caterpillar(9, 2),
+        erdos_renyi(30, 0.06, np.random.default_rng(4)),
+        path_graph(2),
+    ):
+        graph = graph.union_disjoint(part)
+    return graph
+
+
+def _estimate_radii(graph):
+    diameter = max(graph.csr().all_ball_sizes(None)[1].tolist(), default=0)
+    return (0, 1, 3, diameter, diameter + 5, None)
+
+
+def _ball_sizes_calls(monkeypatch):
+    """Count ``CsrGraph.all_ball_sizes`` calls (returns the list of
+    per-call source counts)."""
+    calls = []
+    original = CsrGraph.all_ball_sizes
+
+    def counting(self, *args, **kwargs):
+        sizes, depths = original(self, *args, **kwargs)
+        calls.append(len(sizes))
+        return sizes, depths
+
+    monkeypatch.setattr(CsrGraph, "all_ball_sizes", counting)
+    return calls
+
+
+class TestBallSizeEstimate:
+    """``ball_size_estimate`` is the full sweep's ``(sizes,
+    depths.max())``, bit for bit: saturated balls from component sizes,
+    the max depth from bounding-eccentricity rounds, the rest swept."""
+
+    @pytest.fixture
+    def always_certify(self, monkeypatch):
+        # Pool graphs are far narrower than the small-graph cut-over;
+        # run the certification rounds on them anyway.
+        monkeypatch.setattr(csr_module, "_ESTIMATE_MIN_WORDS", 0)
+
+    @staticmethod
+    def _assert_matches_sweep(graph, radius, kernel_workers):
+        ref_sizes, ref_depths = graph.csr().all_ball_sizes(radius)
+        sizes, max_depth = graph.csr().ball_size_estimate(
+            radius, kernel_workers=kernel_workers
+        )
+        assert sizes.dtype == ref_sizes.dtype
+        assert sizes.tobytes() == ref_sizes.tobytes(), radius
+        assert max_depth == int(ref_depths.max()), radius
+
+    @pytest.mark.parametrize("name,graph", POOL)
+    def test_pool_matches_sweep(self, name, graph, always_certify):
+        for radius in _estimate_radii(graph):
+            for kernel_workers in (1, 2):
+                self._assert_matches_sweep(graph, radius, kernel_workers)
+
+    @pytest.mark.parametrize("radius", [0, 1, 2, 3, 8, 20, 39, 10**6, None])
+    def test_mixed_union_matches_sweep(self, radius, always_certify):
+        graph = _mixed_union()
+        for kernel_workers in (1, 2):
+            self._assert_matches_sweep(graph, radius, kernel_workers)
+
+    @pytest.mark.parametrize("radius", [0, 3, 50, None])
+    def test_default_cut_over_matches_sweep(self, radius):
+        """Below the cut-over width the step is the sweep itself; above
+        it the rounds run.  Both agree with the sweep."""
+        for graph in (_mixed_union(), grid_graph(30, 30)):
+            self._assert_matches_sweep(graph, radius, None)
+
+    def test_vertex_transitive_components_fall_back(self, always_certify):
+        """Every vertex of a cycle has the same eccentricity, so no
+        bound ever certifies one vertex from another: the rounds stall
+        and the cycle's sources are swept."""
+        graph = cycle_graph(40).union_disjoint(cycle_graph(30))
+        with obs.collect() as col:
+            self._assert_matches_sweep(graph, None, None)
+        counters = col.counter_table()
+        assert counters["csr.ball_estimate.saturated"] == graph.n
+        assert counters["csr.ball_estimate.swept"] > 0
+
+    def test_saturated_grid_makes_no_sweep(self, monkeypatch):
+        graph = grid_graph(30, 30)
+        radius = LddParams.practical(0.2, graph.n).estimate_radius
+        ref_sizes, ref_depths = graph.csr().all_ball_sizes(radius)
+        calls = _ball_sizes_calls(monkeypatch)
+        with obs.collect() as col:
+            sizes, max_depth = graph.csr().ball_size_estimate(radius)
+        assert calls == []
+        assert sizes.tolist() == ref_sizes.tolist() == [900.0] * 900
+        assert max_depth == int(ref_depths.max()) == 58
+        counters = col.counter_table()
+        assert counters["csr.ball_estimate.saturated"] == 900
+        assert counters["csr.ball_estimate.swept"] == 0
+        assert 1 <= counters["csr.ball_estimate.bfs_calls"] <= 10
+
+    def test_expander_still_sweeps(self, monkeypatch):
+        """A 3-regular expander's depth does not certify: the rounds
+        stop after the warm-up and (nearly) every source is swept."""
+        graph = random_regular(1200, 3, np.random.default_rng(7))
+        radius = LddParams.practical(0.2, graph.n).estimate_radius
+        ref_sizes, ref_depths = graph.csr().all_ball_sizes(radius)
+        calls = _ball_sizes_calls(monkeypatch)
+        with obs.collect() as col:
+            sizes, max_depth = graph.csr().ball_size_estimate(radius)
+        assert sizes.tolist() == ref_sizes.tolist()
+        assert max_depth == int(ref_depths.max())
+        counters = col.counter_table()
+        assert counters["csr.ball_estimate.bfs_calls"] == csr_module._WARMUP_ROUNDS
+        assert calls == [counters["csr.ball_estimate.swept"]]
+        assert calls[0] > graph.n - 64
+
+    def test_sharded_sweep_bit_identical(self, monkeypatch, always_certify):
+        """``kernel_workers`` reaches the sweep of the open sources:
+        with narrow chunks the sharded dispatch engages, and sizes and
+        depth stay the serial ones."""
+        monkeypatch.setattr(csr_module, "_GATHER_BUDGET_BYTES", 1)
+        expander = random_regular(1200, 3, np.random.default_rng(7))
+        for graph in (expander, _mixed_union()):
+            serial = graph.csr().ball_size_estimate(None, kernel_workers=1)
+            sharded = graph.csr().ball_size_estimate(None, kernel_workers=2)
+            assert serial[0].tobytes() == sharded[0].tobytes()
+            assert serial[1] == sharded[1]
+
+    def test_small_graph_skips_the_rounds(self, monkeypatch):
+        graph = grid_graph(20, 20)  # 7 packed words
+        calls = _ball_sizes_calls(monkeypatch)
+        with obs.collect() as col:
+            graph.csr().ball_size_estimate(None)
+        assert calls == [graph.n]
+        assert "csr.ball_estimate.bfs_calls" not in col.counter_table()
+
+    def test_empty_and_negative_radius(self):
+        sizes, max_depth = Graph(0).csr().ball_size_estimate(3)
+        assert len(sizes) == 0 and max_depth == 0
+        with pytest.raises(ValueError, match="radius"):
+            grid_graph(3, 3).csr().ball_size_estimate(-1)
+
+
 class TestGirth:
     """CsrGraph.girth vs the per-vertex-BFS reference, value-identical."""
 
@@ -439,6 +589,14 @@ class TestLddEndToEndBothBackends:
         ("cycle-150", lambda: cycle_graph(150)),
         ("grid-12x12", lambda: grid_graph(12, 12)),
         ("caterpillar-40x2", lambda: caterpillar(40, 2)),
+        # Wide enough for the csr n_v estimate to run its certification
+        # rounds over several components.
+        (
+            "grid-24x24+cycle-150+path-80",
+            lambda: grid_graph(24, 24)
+            .union_disjoint(cycle_graph(150))
+            .union_disjoint(path_graph(80)),
+        ),
     )
 
     @pytest.mark.parametrize("name,make", GRAPHS)

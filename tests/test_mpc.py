@@ -16,8 +16,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+import repro.obs as obs
 from repro.core import LddParams, chang_li_ldd
 from repro.graphs.generators import (
+    cycle_graph,
     grid_graph,
     hub_and_spokes,
     random_regular,
@@ -426,6 +428,7 @@ class TestLddExecutionBackend:
         )
         assert partitioned.deleted == local.deleted
         assert partitioned.clusters == local.clusters
+        assert partitioned.ledger.charges == local.ledger.charges
         # The open run accumulated the whole execution's round series.
         totals = run.meter.totals()
         assert totals["rounds"] > 0
@@ -445,6 +448,34 @@ class TestLddExecutionBackend:
         )
         assert partitioned.deleted == local.deleted
         assert partitioned.clusters == local.clusters
+
+    @pytest.mark.parametrize("ranks", [1, 4])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: grid_graph(30, 30),
+            lambda: grid_graph(25, 30).union_disjoint(cycle_graph(120)),
+        ],
+        ids=["grid-30x30", "grid-25x30+cycle-120"],
+    )
+    def test_short_circuit_ledger_matches_metered_sweep(self, make, ranks):
+        """Local runs take the max depth from the saturation
+        short-circuit while mpc sweeps every source: the estimate-nv
+        charge and the effective rounds must still agree."""
+        graph = make()
+        params = LddParams.practical(0.3, graph.n)
+        with obs.collect() as col:
+            local = chang_li_ldd(graph, params, seed=5)
+        assert col.counter_table()["csr.ball_estimate.swept"] < graph.n
+        partitioned = chang_li_ldd(
+            graph, params, seed=5, execution_backend="mpc",
+            mpc=MpcConfig(ranks=ranks),
+        )
+        assert partitioned.deleted == local.deleted
+        assert partitioned.clusters == local.clusters
+        by_label = local.ledger.by_label()
+        assert partitioned.ledger.by_label()["estimate-nv"] == by_label["estimate-nv"]
+        assert partitioned.ledger.effective_rounds == local.ledger.effective_rounds
 
     def test_mpc_requires_the_csr_backend(self):
         graph = grid_graph(4, 4)
