@@ -275,17 +275,15 @@ def solve_packing_exact(
     zero, all constraints kept).  The returned ``chosen`` set uses the
     *original* variable indices.
     """
-    if subset is None:
-        sub = instance
-        key_subset: FrozenSet[int] = frozenset(range(instance.n))
-    else:
-        key_subset = frozenset(subset)
-        sub = instance.restrict(key_subset)
+    key_subset: FrozenSet[int] = (
+        frozenset(range(instance.n)) if subset is None else frozenset(subset)
+    )
     key = ("pack", _fingerprint(instance), key_subset)
     if cache is not None:
         found = cache.lookup(key)
         if found is not None:
             return found
+    sub = instance if subset is None else instance.restrict(key_subset)
 
     forced_zero = _forced_zero_vars(sub)
     active = {
@@ -488,12 +486,12 @@ def solve_covering_exact(
         key_subset = frozenset(range(instance.n)) - fixed
     else:
         key_subset = frozenset(subset) - fixed
-    sub = instance.restrict(key_subset, fixed_ones=fixed)
     key = ("cover", _fingerprint(instance), key_subset, fixed)
     if cache is not None:
         found = cache.lookup(key)
         if found is not None:
             return found
+    sub = instance.restrict(key_subset, fixed_ones=fixed)
     solution = _solve_covering_dispatch(sub, key_subset)
     if cache is not None:
         cache.store(key, solution)

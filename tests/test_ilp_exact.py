@@ -231,6 +231,34 @@ class TestSolveCache:
         assert cache.hits == 1
         assert cache.misses == 1
 
+    @pytest.mark.parametrize("kind", ["packing", "covering"])
+    def test_warm_hit_builds_no_restriction(self, kind, monkeypatch):
+        g = cycle_graph(8)
+        if kind == "packing":
+            inst = max_independent_set_ilp(g)
+            solve = solve_packing_exact
+            kwargs = {}
+        else:
+            inst = min_dominating_set_ilp(g)
+            solve = solve_covering_exact
+            kwargs = {"fixed_ones": {7}}
+        cls = type(inst)
+        calls = []
+        real_restrict = cls.restrict
+
+        def counting_restrict(self, *args, **kw):
+            calls.append(args)
+            return real_restrict(self, *args, **kw)
+
+        monkeypatch.setattr(cls, "restrict", counting_restrict)
+        cache = SolveCache()
+        cold = solve(inst, subset={0, 1, 2, 3}, cache=cache, **kwargs)
+        assert len(calls) == 1
+        warm = solve(inst, subset={0, 1, 2, 3}, cache=cache, **kwargs)
+        assert warm == cold
+        assert cache.hits == 1
+        assert len(calls) == 1  # the hit made no restriction
+
     def test_distinct_subsets_not_confused(self):
         g = cycle_graph(8)
         inst = max_independent_set_ilp(g)

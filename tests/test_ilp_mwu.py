@@ -7,6 +7,7 @@ are bit-identical across repeated invocations and worker counts.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from repro.ilp.certificates import (
     packing_dual_bound,
     verify_certificate,
 )
+from repro.ilp import mwu as mwu_module
 from repro.ilp.instance import Constraint, CoveringInstance, PackingInstance
 from repro.ilp.mwu import (
     MWU_COVERING_EXACT_LIMIT,
@@ -174,6 +176,154 @@ class TestDualBounds:
         for _ in range(5):
             y = rng.random(problem.m) * 5.0
             assert covering_dual_bound(problem, y) <= opt + 1e-9
+
+
+def _sorted_dual_search(y, g, w, sel):
+    """The sort-based line search the warm-sorted one replaced: a cold
+    stable argsort per call and a float ``argmin`` over the evaluated
+    breakpoints.  Kept as the oracle of the solve-level equivalence test."""
+    y_sum = float(y.sum())
+    ws = w[sel]
+    gs = np.maximum(g[sel], 1e-300)
+    if ws.size == 0:
+        return y * 0.0, 0.0
+    s_points = ws / gs
+    order = np.argsort(s_points, kind="stable")
+    s_sorted = s_points[order]
+    w_suffix = np.concatenate([np.cumsum(ws[order][::-1])[::-1], [0.0]])
+    g_suffix = np.concatenate([np.cumsum(gs[order][::-1])[::-1], [0.0]])
+    f_vals = s_sorted * y_sum + (w_suffix[1:] - s_sorted * g_suffix[1:])
+    k = int(np.argmin(f_vals))
+    trivial = float(ws.sum())
+    if trivial <= float(f_vals[k]):
+        return y * 0.0, trivial
+    return y * float(s_sorted[k]), float(f_vals[k])
+
+
+def _brute_dual(y, ws, gs):
+    """``f`` at 0 and at every breakpoint by ``math.fsum``: the least
+    value and the smallest scale attaining it."""
+    y_sum = math.fsum(y)
+
+    def f(t):
+        return math.fsum(
+            [t * y_sum] + [max(0.0, w - t * g) for w, g in zip(ws, gs)]
+        )
+
+    points = sorted({0.0, *(w / g for w, g in zip(ws, gs))})
+    values = [f(t) for t in points]
+    best = min(values)
+    return points[values.index(best)], best
+
+
+def _search(y, ws, gs, warm=None):
+    """Run the search; return ``(s*, bound, order)`` with ``s*`` read
+    back off the scaled dual's first entry (``y[0]`` is 1, so exactly;
+    0 for the trivial bound)."""
+    assert y[0] == 1.0
+    ws = np.asarray(ws, dtype=np.float64)
+    gs = np.asarray(gs, dtype=np.float64)
+    scaled, bound, order = mwu_module._packing_dual_search(
+        y, ws / gs, gs, ws, warm
+    )
+    s_star = float(scaled[0] / y[0])
+    assert np.array_equal(scaled, y * s_star)
+    return s_star, bound, order
+
+
+def _tied_instance(seed, k=300):
+    """Integer weights over power-of-two loads: few distinct breakpoints,
+    each tied many times, and every sum exact in floats."""
+    rng = np.random.default_rng(seed)
+    ws = rng.integers(1, 5, size=k).astype(np.float64)
+    gs = 2.0 ** rng.integers(0, 3, size=k)
+    y = np.full(40, float(rng.integers(1, int(gs.sum()) // 40)))
+    y[0] = 1.0
+    return y, ws, gs
+
+
+class TestPackingDualSearch:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tied_integer_breakpoints_match_brute_force(self, seed):
+        y, ws, gs = _tied_instance(seed)
+        assert np.unique(ws / gs).size <= 12
+        s_star, bound, order = _search(y, ws, gs)
+        assert (s_star, bound) == _brute_dual(y, ws, gs)
+        assert np.all(np.diff((ws / gs)[order]) >= 0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_float_breakpoints_match_brute_force(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        ws = rng.uniform(1.0, 9.0, size=400)
+        gs = rng.uniform(0.1, 3.0, size=400)
+        y = rng.uniform(0.0, 1.0, size=150)
+        y[0] = 1.0
+        s_star, bound, _ = _search(y, ws, gs)
+        brute_s, brute_f = _brute_dual(y, ws, gs)
+        assert s_star == brute_s
+        assert bound == pytest.approx(brute_f, rel=1e-12)
+
+    def test_flat_minimum_takes_the_smallest_minimizer(self):
+        # f(t) = t + Σ max(0, w_j - t) is 3 on all of [2, 3].
+        y = np.array([1.0])
+        s_star, bound, _ = _search(y, [1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
+        assert (s_star, bound) == (2.0, 3.0)
+        assert _brute_dual(y, [1.0, 2.0, 3.0], [1.0, 1.0, 1.0]) == (2.0, 3.0)
+
+    def test_light_loads_give_the_trivial_bound(self):
+        # Σg = 3 <= Σy = 3: f never falls below f(0) = Σw.
+        y = np.array([1.0, 2.0])
+        s_star, bound, _ = _search(y, [3.0, 5.0], [1.0, 2.0])
+        assert (s_star, bound) == (0.0, 8.0)
+
+    def test_no_columns(self):
+        y = np.array([0.5, 1.0])
+        empty = np.zeros(0)
+        scaled, bound, order = mwu_module._packing_dual_search(
+            y, empty, empty, empty, None
+        )
+        assert bound == 0.0 and order.size == 0
+        assert np.array_equal(scaled, np.zeros(2))
+
+    def test_single_column(self):
+        assert _search(np.array([1.0]), [6.0], [2.0])[:2] == (3.0, 3.0)
+        assert _search(np.array([1.0, 3.0]), [6.0], [2.0])[:2] == (0.0, 6.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stale_or_unrelated_warm_order_gives_the_cold_result(self, seed):
+        y, ws, gs = _tied_instance(seed)
+        rng = np.random.default_rng(seed)
+        cold = mwu_module._packing_dual_search(y, ws / gs, gs, ws)
+        y2, ws2, gs2 = _tied_instance(seed + 50)
+        stale = _search(y2, ws2, gs2)[2]  # a previous call's order
+        for warm in (stale, rng.permutation(ws.size), cold[2][::-1].copy()):
+            got = mwu_module._packing_dual_search(y, ws / gs, gs, ws, warm)
+            assert got[1] == cold[1]
+            assert np.array_equal(got[0], cold[0])
+            assert np.array_equal((ws / gs)[got[2]], (ws / gs)[cold[2]])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_column_permutation_leaves_scale_and_bound(self, seed):
+        y, ws, gs = _tied_instance(seed)
+        perm = np.random.default_rng(seed).permutation(ws.size)
+        assert _search(y, ws, gs)[:2] == _search(y, ws[perm], gs[perm])[:2]
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_solve_matches_the_sort_based_search(self, seed, monkeypatch):
+        problem = random_row_sparse_problem("packing", 2000, seed=seed)
+        warm = mwu_module._fractional_packing(problem, EPS, None)
+
+        def oracle(y, s, gs, ws, order):
+            scaled, bound = _sorted_dual_search(y, gs, ws, np.ones(ws.size, bool))
+            return scaled, bound, None
+
+        monkeypatch.setattr(mwu_module, "_packing_dual_search", oracle)
+        sorted_ = mwu_module._fractional_packing(problem, EPS, None)
+        assert warm.iterations == sorted_.iterations
+        assert warm.oracle_calls == sorted_.oracle_calls
+        assert np.array_equal(warm.x, sorted_.x)
+        assert warm.primal_value == sorted_.primal_value
+        assert warm.gap == pytest.approx(sorted_.gap, rel=1e-12, abs=0.0)
 
 
 class TestQuality:
