@@ -58,20 +58,13 @@ def dependency_profile(
         return DependencyProfile(
             radius=radius, max_ball_size=0, mean_ball_size=0.0, n=0
         )
-    allowed = set(vertices) if within is not None else None
-    sizes = []
-    for v in vertices:
-        if allowed is None:
-            ball = graph.ball(v, 2 * radius)
-        else:
-            from repro.local.gather import gather_ball
-
-            ball = gather_ball(graph, [v], 2 * radius, within=allowed).ball
-        sizes.append(len(ball))
+    sizes, _ = graph.csr().all_ball_sizes(
+        2 * radius, within=within, sources=vertices
+    )
     return DependencyProfile(
         radius=radius,
-        max_ball_size=max(sizes),
-        mean_ball_size=sum(sizes) / len(sizes),
+        max_ball_size=int(sizes.max()),
+        mean_ball_size=float(sizes.sum()) / len(vertices),
         n=len(vertices),
     )
 

@@ -68,8 +68,6 @@ def grow_and_carve(
     interval: Interval,
     remaining: Set[int],
     weights: Optional[Sequence[float]] = None,
-    backend: str = "python",
-    kernel_workers: Optional[int] = None,
     mpc=None,
 ) -> CarveOutcome:
     """Algorithm 1: delete the sparsest layer in ``interval``.
@@ -82,10 +80,8 @@ def grow_and_carve(
     the whole component is removed and nothing is deleted — the carve's
     purpose (isolating a cluster) is already achieved.
 
-    ``kernel_workers`` is threaded through to :func:`gather_ball` for
-    interface uniformity; a carve's gather is a single BFS and stays
-    serial (the knob matters to the drivers' *chunked* kernels).
-    ``mpc`` (an :class:`~repro.mpc.MpcRun` on this graph) runs the
+    ``remaining`` may be a precomputed boolean residual mask shared
+    across the iteration's carves (see :func:`gather_ball`).  ``mpc`` (an :class:`~repro.mpc.MpcRun` on this graph) runs the
     gather as metered partitioned BFS rounds — bit-identical layers.
     """
     a, b = interval
@@ -96,8 +92,6 @@ def grow_and_carve(
             centers,
             b,
             within=remaining,
-            backend=backend,
-            kernel_workers=kernel_workers,
             mpc=mpc,
         )
     layers = gathered.layers
@@ -136,8 +130,6 @@ def grow_and_carve_packing(
     interval: Interval,
     remaining: Set[int],
     cache: Optional[SolveCache] = None,
-    backend: str = "python",
-    kernel_workers: Optional[int] = None,
 ) -> CarveOutcome:
     """Algorithm 4: delete the middle layer of the lightest 3-window.
 
@@ -145,11 +137,9 @@ def grow_and_carve_packing(
     by 3; windows ``[j, j+2]`` for ``j ≡ a (mod 3)`` partition it.  The
     local optimum ``P^local`` of ``N^{b-1}(C)`` (within the residual)
     scores each window; the middle layer ``S_{j*+1}`` of the lightest
-    window is deleted and ``N^{j*}(C)`` removed.
-
-    ``backend`` selects the gather engine as in :func:`grow_and_carve`;
-    with ``"csr"``, ``remaining`` may be a precomputed boolean residual
-    mask shared across the iteration's carves.
+    window is deleted and ``N^{j*}(C)`` removed.  ``remaining`` may be
+    a precomputed boolean residual mask shared across the iteration's
+    carves.
     """
     a, b = interval
     require(1 <= a < b, f"invalid interval [{a}, {b}]")
@@ -159,8 +149,6 @@ def grow_and_carve_packing(
             centers,
             b - 1,
             within=remaining,
-            backend=backend,
-            kernel_workers=kernel_workers,
         )
     layers = gathered.layers
     if gathered.depth_reached < a:
@@ -209,8 +197,6 @@ def grow_and_carve_covering(
     remaining: Set[int],
     fixed_ones: Set[int],
     cache: Optional[SolveCache] = None,
-    backend: str = "python",
-    kernel_workers: Optional[int] = None,
 ) -> CarveOutcome:
     """Algorithm 7: fix the lightest odd layer pair, remove ``N^{j*}``.
 
@@ -220,11 +206,9 @@ def grow_and_carve_covering(
     constraint crossing the removal boundary lies inside the pair
     (supports span at most two consecutive BFS layers) and is therefore
     satisfied by the commitment.  Only ``N^{j*}`` is removed — the
-    pair's outer layer stays in the residual graph.
-
-    ``backend`` selects the gather engine as in :func:`grow_and_carve`;
-    with ``"csr"``, ``remaining`` may be a precomputed boolean residual
-    mask shared across the iteration's carves.
+    pair's outer layer stays in the residual graph.  ``remaining`` may
+    be a precomputed boolean residual mask shared across the
+    iteration's carves.
     """
     a, b = interval
     require(1 <= a < b, f"invalid interval [{a}, {b}]")
@@ -234,8 +218,6 @@ def grow_and_carve_covering(
             centers,
             b,
             within=remaining,
-            backend=backend,
-            kernel_workers=kernel_workers,
         )
     layers = gathered.layers
     if gathered.depth_reached < a + 1:

@@ -36,7 +36,6 @@ from repro.decomp.sparse_cover import (
     solve_covering_by_sparse_cover,
     sparse_cover,
 )
-from repro.graphs.csr import check_backend
 from repro.graphs.graph import Graph
 from repro.ilp.exact import solve_covering_exact
 from repro.ilp.instance import FEASIBILITY_TOL, CoveringInstance
@@ -71,18 +70,14 @@ def chang_li_covering(
     params: CoveringParams,
     seed: SeedLike = None,
     cache: Optional[SolveCache] = None,
-    backend: str = "csr",
 ) -> CoveringResult:
     """Run the Theorem 1.3 algorithm with the given parameters.
 
-    ``backend`` selects the execution engine for every BFS-shaped step
-    — the preparation sparse covers, the ``S_C`` gathers, the carving
-    BFS, the zone components and the completion cover — following the
-    :func:`~repro.core.ldd.chang_li_ldd` convention: ``"csr"``
-    (default) runs the batched numpy kernels, ``"python"`` the
-    reference implementations; outputs are bit-identical.
+    As in :func:`~repro.core.ldd.chang_li_ldd`, the BFS-shaped steps
+    (the ``S_C`` gathers, the carving BFS, the zone components and
+    diameters, and the sparse covers' within-1 membership) run on the
+    CSR kernels; the sparse covers' shifts flood on the heap flood.
     """
-    check_backend(backend)
     require(
         instance.is_satisfiable(),
         "covering instance is unsatisfiable (selecting everything fails)",
@@ -98,7 +93,7 @@ def chang_li_covering(
     final_rng = rng_streams[params.prep_count + 1]
 
     clusters = _prepare_clusters(
-        instance, graph, hypergraph, params, prep_rngs, ledger, cache, backend
+        instance, graph, hypergraph, params, prep_rngs, ledger, cache
     )
 
     remaining: Set[int] = set(range(n))
@@ -122,7 +117,7 @@ def chang_li_covering(
         max_depth = 0
         executed = 0
         snapshot = remaining
-        if backend == "csr" and center_ids:
+        if center_ids:
             # One mask per residual snapshot, shared by all carves.
             snapshot = graph.csr().residual_mask(remaining)
         for idx in center_ids:
@@ -138,7 +133,6 @@ def chang_li_covering(
                 snapshot,
                 fixed_ones,
                 cache=cache,
-                backend=backend,
             )
             removed_now |= outcome.removed
             fixed_now |= outcome.fixed_ones
@@ -154,9 +148,8 @@ def chang_li_covering(
     fixed_weight = instance.weight(fixed_ones)
 
     # -- Classify every constraint: satisfied / zone / residual. -------
-    zones = [
-        set(c) for c in graph.connected_components(within=removed, backend=backend)
-    ]
+    csr = graph.csr()
+    zones = [set(c) for c in csr.connected_components(within=removed)]
     zone_of: Dict[int, int] = {}
     for zidx, zone in enumerate(zones):
         for v in zone:
@@ -187,7 +180,7 @@ def chang_li_covering(
         )
         chosen |= set(local.chosen)
         max_zone_diameter = max(
-            max_zone_diameter, graph.weak_diameter(zones[zidx], backend=backend)
+            max_zone_diameter, csr.weak_diameter(zones[zidx])
         )
     ledger.charge("zone-local-solve", int(max_zone_diameter))
 
@@ -202,7 +195,6 @@ def chang_li_covering(
             edge_indices=residual_edges,
             fixed_ones=chosen,
             cache=cache,
-            backend=backend,
         )
         chosen |= residual_choice
         ledger.merge(cover.ledger, prefix="final-")
@@ -230,7 +222,6 @@ def solve_covering(
     seed: SeedLike = None,
     profile: str = "practical",
     cache: Optional[SolveCache] = None,
-    backend: str = "csr",
     **profile_kwargs,
 ) -> CoveringResult:
     """Public entry point: profile construction + :func:`chang_li_covering`."""
@@ -241,7 +232,7 @@ def solve_covering(
         params = CoveringParams.practical(eps, ntilde, **profile_kwargs)
     else:
         raise ValueError(f"unknown profile {profile!r}")
-    return chang_li_covering(instance, params, seed=seed, cache=cache, backend=backend)
+    return chang_li_covering(instance, params, seed=seed, cache=cache)
 
 
 def _prepare_clusters(
@@ -252,7 +243,6 @@ def _prepare_clusters(
     prep_rngs: Sequence,
     ledger: RoundLedger,
     cache: SolveCache,
-    backend: str = "python",
 ) -> List[_PrepCluster]:
     """Preparation (Section 5.1.1): sparse covers + weight estimates."""
     prep_ledgers = []
@@ -263,7 +253,6 @@ def _prepare_clusters(
             params.prep_lambda,
             ntilde=params.ntilde,
             seed=rng,
-            backend=backend,
         )
         raw_clusters.extend(cover.clusters)
         prep_ledgers.append(cover.ledger)
@@ -271,9 +260,7 @@ def _prepare_clusters(
     clusters: List[_PrepCluster] = []
     max_depth = 0
     for cluster in raw_clusters:
-        gathered = gather_ball(
-            graph, cluster, params.cluster_radius, backend=backend
-        )
+        gathered = gather_ball(graph, cluster, params.cluster_radius)
         neighborhood = gathered.ball
         max_depth = max(max_depth, gathered.depth_reached)
         w_self = solve_covering_exact(

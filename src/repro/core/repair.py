@@ -176,7 +176,6 @@ def repair_decomposition(
     dirty_edges: Iterable[Edge],
     params: LddParams,
     seed=None,
-    backend: str = "csr",
     kernel_workers: Optional[int] = None,
     validate: bool = False,
 ) -> RepairResult:
@@ -252,7 +251,6 @@ def repair_decomposition(
             sub,
             params,
             seed=seed,
-            backend=backend,
             kernel_workers=kernel_workers,
         )
 

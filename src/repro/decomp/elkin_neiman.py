@@ -36,7 +36,6 @@ from repro.decomp.shifts import (
     shifted_flood,
 )
 from repro.decomp.types import Decomposition
-from repro.graphs.csr import check_backend
 from repro.graphs.graph import Graph
 from repro.local.engine import run_synchronous
 from repro.local.gather import RoundLedger
@@ -80,28 +79,16 @@ def elkin_neiman_ldd(
     seed: SeedLike = None,
     within: Optional[Set[int]] = None,
     shifts: Optional[Sequence[float]] = None,
-    backend: str = "python",
 ) -> Decomposition:
     """Run Lemma C.1 on ``graph`` (optionally on the residual ``within``).
 
     ``shifts`` may be supplied to share randomness with the message
     engine (equivalence testing); otherwise they are sampled here from
-    per-vertex private streams spawned off ``seed``.
-
-    ``backend`` selects the flood engine: ``"csr"`` runs the vectorized
-    delta-propagation kernel
-    (:meth:`~repro.graphs.csr.CsrGraph.top2_shifted_flood`),
-    ``"python"`` the keep-2 heap flood of
-    :func:`~repro.decomp.shifts.shifted_flood`.  Both produce identical
-    records (property-tested), hence identical decompositions.  The
-    heap flood is the *default* here — E15 measures it ~2x faster for
-    the standalone tiny-λ whole-graph floods this function's direct
-    callers run — while :func:`~repro.core.ldd.chang_li_ldd` forwards
-    its own ``backend`` so a csr-backend LDD stays kernel-driven end
-    to end.
+    per-vertex private streams spawned off ``seed``.  The records come
+    from the keep-2 heap flood of
+    :func:`~repro.decomp.shifts.shifted_flood`.
     """
     check_positive("lam", lam)
-    check_backend(backend)
     ntilde = ntilde if ntilde is not None else max(graph.n, 2)
     require(ntilde >= graph.n, f"ntilde={ntilde} below n={graph.n}")
     if shifts is None:
@@ -113,34 +100,8 @@ def elkin_neiman_ldd(
     nominal = math.ceil(4.0 * math.log(ntilde) / lam)
     effective = rounds_for_flood([shifts[v] for v in vertices]) if vertices else 0
     ledger.charge("en-flood", nominal, effective)
-    if backend == "csr":
-        records = _records_from_csr(graph, list(shifts), vertices, within)
-    else:
-        records = shifted_flood(graph, list(shifts), keep=2, within=within)
+    records = shifted_flood(graph, list(shifts), keep=2, within=within)
     return _decomposition_from_records(vertices, records, ledger)
-
-
-def _records_from_csr(
-    graph: Graph,
-    shifts: List[float],
-    vertices: Sequence[int],
-    within: Optional[Set[int]],
-) -> List[List[ShiftRecord]]:
-    """Top-2 records via the CSR kernel, in the shifted-flood layout."""
-    b1v, b1s, b1d, b2v, b2s, b2d = graph.csr().top2_shifted_flood(
-        shifts, within=within
-    )
-    records: List[List[ShiftRecord]] = [[] for _ in range(graph.n)]
-    for v in vertices:
-        if b1s[v] >= 0:
-            records[v].append(
-                ShiftRecord(value=float(b1v[v]), source=int(b1s[v]), dist=int(b1d[v]))
-            )
-        if b2s[v] >= 0:
-            records[v].append(
-                ShiftRecord(value=float(b2v[v]), source=int(b2s[v]), dist=int(b2d[v]))
-            )
-    return records
 
 
 class _EnNode(MessageAlgorithm):

@@ -70,16 +70,13 @@ def gkm_solve_packing(
     seed: SeedLike = None,
     scale: float = 1.0,
     cache: Optional[SolveCache] = None,
-    backend: str = "csr",
     kernel_workers: Optional[int] = None,
 ) -> GkmResult:
     """(1−ε)-approximate packing via network decomposition (GKM17).
 
-    ``backend`` selects how the ``G^{2k}`` power graph is built:
-    ``"csr"`` (default) batches reachability for all vertices via the
-    numpy kernel, ``"python"`` runs the per-vertex reference BFS;
-    ``kernel_workers`` shards that kernel's source chunks over worker
-    processes (csr only, identical output at any worker count).
+    The ``G^{2k}`` power graph is built by the batched CSR reachability
+    kernel; ``kernel_workers`` shards its source chunks over worker
+    processes (identical output at any worker count).
     """
     check_fraction("eps", eps)
     graph = instance.hypergraph().primal_graph()
@@ -88,7 +85,7 @@ def gkm_solve_packing(
     k = _carving_radius(eps, ntilde, scale)
     ledger = RoundLedger()
     nd = _power_graph_decomposition(
-        graph, k, ntilde, seed, ledger, backend, kernel_workers
+        graph, k, ntilde, seed, ledger, kernel_workers
     )
     remaining: Set[int] = set(range(n))
     chosen: Set[int] = set()
@@ -166,7 +163,6 @@ def gkm_solve_covering(
     seed: SeedLike = None,
     scale: float = 1.0,
     cache: Optional[SolveCache] = None,
-    backend: str = "csr",
     kernel_workers: Optional[int] = None,
 ) -> GkmResult:
     """(1+ε)-style covering via network decomposition (ND-based analog).
@@ -188,7 +184,7 @@ def gkm_solve_covering(
     k = max(4, math.ceil(2.0 * scale / eps))
     ledger = RoundLedger()
     nd = _power_graph_decomposition(
-        graph, k, ntilde, seed, ledger, backend, kernel_workers
+        graph, k, ntilde, seed, ledger, kernel_workers
     )
     remaining: Set[int] = set(range(n))
     fixed_ones: Set[int] = set()
@@ -338,18 +334,17 @@ def _power_graph_decomposition(
     ntilde: int,
     seed: SeedLike,
     ledger: RoundLedger,
-    backend: str = "csr",
     kernel_workers: Optional[int] = None,
 ) -> NetworkDecomposition:
     """LS decomposition of ``G^{2k}``; charges ND rounds at base-graph cost.
 
-    The ``G^{2k}`` construction is the expensive part at scale; the CSR
-    backend builds it with one batched reachability sweep, optionally
-    sharded over ``kernel_workers`` processes.
+    The ``G^{2k}`` construction is the expensive part at scale; it is
+    one batched CSR reachability sweep, optionally sharded over
+    ``kernel_workers`` processes.
     """
     power_radius = 2 * k
     power = (
-        graph.power(power_radius, backend=backend, kernel_workers=kernel_workers)
+        graph.csr().power(power_radius, kernel_workers=kernel_workers)
         if graph.n
         else graph
     )

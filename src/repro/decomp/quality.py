@@ -31,14 +31,11 @@ def summarize_decomposition(
     decomposition: Decomposition,
     validate: bool = True,
     n_override: Optional[int] = None,
-    backend: str = "csr",
 ) -> LddTrialSummary:
     """Validate and summarize one LDD output.
 
     ``n_override`` supports decompositions of a residual subset (the
-    fraction is then measured against the subset size).  ``backend``
-    selects the engine for the per-cluster weak-diameter sweep
-    (``"csr"`` default, ``"python"`` reference; identical values).
+    fraction is then measured against the subset size).
     """
     if validate:
         covered = decomposition.clustered_vertices() | decomposition.deleted
@@ -50,7 +47,7 @@ def summarize_decomposition(
             sub, relabeled, {mapping[v] for v in decomposition.deleted}
         )
     stats = decomposition_stats(
-        graph, decomposition.clusters, decomposition.deleted, backend=backend
+        graph, decomposition.clusters, decomposition.deleted
     )
     n = n_override if n_override is not None else (
         len(decomposition.clustered_vertices()) + len(decomposition.deleted)
@@ -98,7 +95,6 @@ def run_ldd_trials(
     runner: Callable[[int], Decomposition],
     trials: int,
     validate: bool = True,
-    backend: str = "csr",
 ) -> TrialSeries:
     """Run ``runner(seed)`` repeatedly and collect quality series."""
     fractions: List[float] = []
@@ -106,7 +102,7 @@ def run_ldd_trials(
     for trial in range(trials):
         decomposition = runner(trial)
         summary = summarize_decomposition(
-            graph, decomposition, validate=validate, backend=backend
+            graph, decomposition, validate=validate
         )
         fractions.append(summary.unclustered_fraction)
         diameters.append(summary.max_weak_diameter)

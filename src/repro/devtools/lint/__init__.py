@@ -2,8 +2,8 @@
 
 The runtime property suites verify the headline reproducibility
 contract — bit-identical LDD/carve/GKM outputs at any worker count and
-``csr``-vs-``python`` backend equivalence — but only for the code paths
-they happen to execute.  This linter checks the *source* for the idioms
+CSR kernels equal to their :class:`~repro.graphs.graph.Graph` reference
+— but only for the code paths they happen to execute.  This linter checks the *source* for the idioms
 that keep the contract true everywhere:
 
 * **RPL0xx determinism** — no unseeded or global-state randomness in
@@ -11,9 +11,6 @@ that keep the contract true everywhere:
   seed/:class:`~numpy.random.SeedSequence` parameter.
 * **RPL1xx shared memory** — every ``SharedMemory`` creation sits on a
   ``with``/``try``-cleanup path so segments cannot leak.
-* **RPL2xx backend parity** — a ``backend=`` parameter is actually
-  dispatched (or forwarded), and every public kernel exposing one is
-  exercised by name under ``tests/``.
 * **RPL3xx ordered iteration** — unordered ``set``/``dict.keys()``
   iteration must not feed order-sensitive returned structures.
 * **RPL4xx observability boundary** — no direct wall-clock reads in

@@ -22,8 +22,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.devtools.lint",
         description=(
             "AST-based invariant checks: determinism (RPL0xx), shared-"
-            "memory lifecycle (RPL1xx), backend parity (RPL2xx), ordered "
-            "iteration (RPL3xx).  See src/repro/devtools/README.md."
+            "memory lifecycle (RPL1xx), ordered iteration (RPL3xx), "
+            "clocks (RPL4xx), cache keys (RPL5xx).  See "
+            "src/repro/devtools/README.md."
         ),
     )
     parser.add_argument(

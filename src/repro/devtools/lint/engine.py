@@ -1,13 +1,12 @@
 """Rule registry, file model and driver for repro-lint.
 
 The engine is deliberately small: it parses each file once, records a
-parent map and the inline suppressions, runs every registered per-file
-rule, then gives cross-module rules one ``finalize`` pass over the
-whole file set (that is how backend-parity test coverage is checked).
+parent map and the inline suppressions, then runs every registered
+per-file rule.
 
 Rules are registered by class via :func:`register`; a fresh instance is
-created per run so cross-module rules can accumulate state without
-leaking between invocations.
+created per run so a rule can keep per-run state without leaking
+between invocations.
 """
 
 from __future__ import annotations
@@ -172,17 +171,13 @@ def _parse_suppressions(source: str) -> Dict[int, frozenset]:
 
 class Rule:
     """Base class; subclasses set the class attributes and override
-    :meth:`check` (per file) and/or :meth:`finalize` (cross-module,
-    called once after every file was checked)."""
+    :meth:`check` (called once per file)."""
 
     code: str = "RPL000"
     name: str = "base"
     summary: str = ""
 
     def check(self, ctx: FileContext) -> Iterable[Violation]:
-        return ()
-
-    def finalize(self, contexts: Sequence[FileContext]) -> Iterable[Violation]:
         return ()
 
     def violation(
@@ -243,12 +238,6 @@ def lint_sources(
             for violation in rule.check(ctx):
                 if not ctx.suppressed(violation):
                     violations.append(violation)
-    by_path = {ctx.path: ctx for ctx in contexts}
-    for rule in rules:
-        for violation in rule.finalize(contexts):
-            ctx = by_path.get(violation.path)
-            if ctx is None or not ctx.suppressed(violation):
-                violations.append(violation)
     return sorted(violations)
 
 

@@ -5,6 +5,5 @@ from repro.devtools.lint.rules import (  # noqa: F401  (registration)
     clocks,
     determinism,
     ordering,
-    parity,
     sharedmem,
 )

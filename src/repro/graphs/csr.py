@@ -21,21 +21,18 @@ amortize the traversal across all sources simultaneously:
 * :meth:`CsrGraph.power` / :meth:`CsrGraph.connected_components` /
   :meth:`CsrGraph.weak_diameter` — vectorized versions of the
   corresponding :class:`~repro.graphs.graph.Graph` methods.
-* :meth:`CsrGraph.top2_shifted_flood` — the Elkin–Neiman communication
-  core (top-2 records of ``m_u(v) = T_u − dist(u, v)``) as a fixpoint
-  iteration over array states.
 
 Every kernel is observationally equivalent to its pure-Python
-counterpart (property-tested in ``tests/test_graphs_csr.py``); callers
-select between them via a ``backend=`` parameter ("python" is the
-reference implementation, "csr" the fast path).  Instances are cached
-on the owning :class:`Graph` via :meth:`Graph.csr`, so repeated kernel
+counterpart on :class:`~repro.graphs.graph.Graph` (property-tested in
+``tests/test_graphs_csr.py``).  The algorithms call these kernels;
+the ``Graph`` methods are the reference they are tested against, and
+nothing chooses between the two at run time.  Instances are cached on
+the owning :class:`Graph` via :meth:`Graph.csr`, so repeated kernel
 calls pay the CSR construction once.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -43,15 +40,6 @@ import numpy as np
 import repro.obs as _obs
 from repro.graphs import parallel as _parallel
 from repro.util.validation import require
-
-#: Recognized values for the ``backend=`` parameter used across the
-#: library (LDD, carving, gathers, GKM, Elkin–Neiman).
-BACKENDS = ("python", "csr")
-
-#: Tokens in the shifted flood stop propagating below this value
-#: (mirrors ``repro.decomp.shifts.PROPAGATION_CUTOFF``; duplicated here
-#: to keep the graphs layer free of decomp imports).
-_CUTOFF = -1.0
 
 #: Soft cap on the per-round gather buffer (bytes) used to pick the
 #: source-chunk width of the packed batched kernels.
@@ -80,14 +68,6 @@ _ESTIMATE_MIN_WORDS = 12
 _BYTE_BITS = np.unpackbits(
     np.arange(256, dtype=np.uint8)[:, None], axis=1
 ).astype(np.float64)
-
-
-def check_backend(backend: str) -> None:
-    """Validate a ``backend=`` argument."""
-    require(
-        backend in BACKENDS,
-        f"unknown backend {backend!r}; expected one of {BACKENDS}",
-    )
 
 
 def _column_weights(packed: np.ndarray, weights: Optional[np.ndarray]) -> np.ndarray:
@@ -194,41 +174,6 @@ class _PackedSweep:
             reach[~mask] = 0
         np.bitwise_or(visited, reach, out=visited)
         return reach
-
-
-def _merge_top2_candidate(state1, state2, cand):
-    """Merge one candidate record per position into distinct-source top-2.
-
-    ``state1``/``state2``/``cand`` are ``(value, source, dist)`` array
-    triples; empty slots carry ``(-inf, -1, 0)``.  Records compare by
-    ``(value, source)`` with larger source winning exact-value ties —
-    the shifted-flood rule.  A candidate with the same source as a kept
-    record is an estimate of the same token, so the larger value (the
-    shorter path) wins; sources held by the state are always distinct.
-    """
-    sv, ss, sd = state1
-    tv, ts, td = state2
-    cv, cs, cd = cand
-    same1 = cs == ss
-    upg1 = same1 & (cv > sv)
-    beat1 = ~same1 & ((cv > sv) | ((cv == sv) & (cs > ss)))
-    take1 = upg1 | beat1
-    n1v = np.where(take1, cv, sv)
-    n1s = np.where(take1, cs, ss)
-    n1d = np.where(take1, cd, sd)
-    # When the candidate displaces slot 1, the old slot-1 record drops
-    # to slot 2 (its source differs from the new leader; it dominates
-    # the old slot 2).  Otherwise the candidate competes for slot 2
-    # unless it shares the leader's source.
-    quiet = ~take1 & ~same1
-    same2 = cs == ts
-    upg2 = quiet & same2 & (cv > tv)
-    beat2 = quiet & ~same2 & ((cv > tv) | ((cv == tv) & (cs > ts)))
-    take2 = upg2 | beat2
-    n2v = np.where(beat1, sv, np.where(take2, cv, tv))
-    n2s = np.where(beat1, ss, np.where(take2, cs, ts))
-    n2d = np.where(beat1, sd, np.where(take2, cd, td))
-    return (n1v, n1s, n1d), (n2v, n2s, n2d)
 
 
 class CsrGraph:
@@ -953,6 +898,13 @@ class CsrGraph:
             return float("inf")
         return float(dist.max())
 
+    def diameter(self, kernel_workers: Optional[int] = None) -> float:
+        """Graph diameter (``inf`` when disconnected, 0 when n <= 1), the
+        maximum of :meth:`eccentricities`."""
+        if self.n == 0:
+            return 0
+        return float(self.eccentricities(kernel_workers=kernel_workers).max())
+
     def eccentricities(
         self,
         chunk_size: Optional[int] = None,
@@ -1049,112 +1001,3 @@ class CsrGraph:
                 if upper_bound is not None and best <= upper_bound:
                     return best
         return best
-
-    # ------------------------------------------------------------------
-    # Elkin–Neiman communication core
-    # ------------------------------------------------------------------
-    def top2_shifted_flood(
-        self,
-        shifts: Sequence[float],
-        within: Optional[Iterable[int]] = None,
-    ) -> Tuple[np.ndarray, ...]:
-        """Top-2 shifted-flood records per vertex, as six arrays.
-
-        For every vertex ``v`` computes the two best ``(value, source)``
-        pairs of ``m_u(v) = T_u − dist(u, v)`` over sources ``u`` whose
-        token survives the −1 propagation cutoff, with ties broken
-        toward the larger source id — exactly the ``keep=2`` result of
-        :func:`repro.decomp.shifts.shifted_flood`.  Returns
-        ``(val1, src1, dist1, val2, src2, dist2)``; missing records are
-        marked by source −1.
-
-        Implementation: synchronous *delta* propagation.  Only vertices
-        whose top-2 changed in the previous round emit their records
-        (decremented by one hop) to their neighbors; candidates are
-        reduced per destination to their best two distinct sources with
-        one lexsort and merged into the running state with elementwise
-        comparisons.  Per-round work is proportional to the edges
-        incident to the active wavefront — the vectorized analogue of
-        the heap flood's pruning — and the state is monotone, so the
-        iteration stabilizes within ``⌊max T⌋ + 2`` rounds (the maximum
-        token range).
-        """
-        shifts_arr = np.asarray(shifts, dtype=np.float64)
-        require(len(shifts_arr) == self.n, "need one shift per vertex")
-        mask = self.residual_mask(within)
-        neg = -np.inf
-        b1v = np.full(self.n, neg)
-        b1s = np.full(self.n, -1, dtype=np.int64)
-        b1d = np.zeros(self.n, dtype=np.int64)
-        b2v = np.full(self.n, neg)
-        b2s = np.full(self.n, -1, dtype=np.int64)
-        b2d = np.zeros(self.n, dtype=np.int64)
-        if mask is None:
-            alive = np.arange(self.n, dtype=np.int64)
-        else:
-            alive = np.nonzero(mask)[0]
-        b1v[alive] = shifts_arr[alive]
-        b1s[alive] = alive
-        if alive.size == 0:
-            return b1v, b1s, b1d, b2v, b2s, b2d
-        max_rounds = int(math.floor(float(shifts_arr[alive].max()))) + 3
-        changed = alive
-        for _ in range(max_rounds):
-            if changed.size == 0:
-                break
-            dst = self._neighbors_of(changed)
-            emit = np.repeat(changed, self.degrees[changed])
-            if mask is not None:
-                keep = mask[dst]
-                dst, emit = dst[keep], emit[keep]
-            cand_v = np.concatenate((b1v[emit] - 1.0, b2v[emit] - 1.0))
-            cand_s = np.concatenate((b1s[emit], b2s[emit]))
-            cand_d = np.concatenate((b1d[emit] + 1, b2d[emit] + 1))
-            seg = np.concatenate((dst, dst))
-            ok = (cand_v >= _CUTOFF) & (cand_s >= 0)
-            cand_v, cand_s, cand_d, seg = cand_v[ok], cand_s[ok], cand_d[ok], seg[ok]
-            if seg.size == 0:
-                break
-            order = np.lexsort((-cand_s, -cand_v, seg))
-            cand_v, cand_s, cand_d, seg = (
-                cand_v[order],
-                cand_s[order],
-                cand_d[order],
-                seg[order],
-            )
-            # Reduce to each destination's best and best-distinct-source
-            # candidate (sound: anything below those two can never enter
-            # a distinct-source top-2, see the shifts-module argument).
-            first = np.ones(len(seg), dtype=bool)
-            first[1:] = seg[1:] != seg[:-1]
-            dests = seg[first]
-            c1 = (cand_v[first], cand_s[first], cand_d[first])
-            seg_ids = np.cumsum(first) - 1
-            distinct = cand_s != c1[1][seg_ids]
-            seg2 = seg[distinct]
-            second = np.ones(len(seg2), dtype=bool)
-            second[1:] = seg2[1:] != seg2[:-1]
-            c2v = np.full(len(dests), neg)
-            c2s = np.full(len(dests), -1, dtype=np.int64)
-            c2d = np.zeros(len(dests), dtype=np.int64)
-            slot = np.searchsorted(dests, seg2[second])
-            c2v[slot] = cand_v[distinct][second]
-            c2s[slot] = cand_s[distinct][second]
-            c2d[slot] = cand_d[distinct][second]
-            old = (b1v[dests], b1s[dests], b2v[dests], b2s[dests])
-            s1, s2 = _merge_top2_candidate(
-                (b1v[dests], b1s[dests], b1d[dests]),
-                (b2v[dests], b2s[dests], b2d[dests]),
-                c1,
-            )
-            s1, s2 = _merge_top2_candidate(s1, s2, (c2v, c2s, c2d))
-            delta = (
-                (s1[1] != old[1])
-                | (s1[0] != old[0])
-                | (s2[1] != old[3])
-                | (s2[0] != old[2])
-            )
-            b1v[dests], b1s[dests], b1d[dests] = s1
-            b2v[dests], b2s[dests], b2d[dests] = s2
-            changed = dests[delta]
-        return b1v, b1s, b1d, b2v, b2s, b2d

@@ -119,18 +119,26 @@ class Graph:
     # BFS primitives
     # ------------------------------------------------------------------
     def bfs_distances(
-        self, sources: Iterable[int], radius: Optional[int] = None
+        self,
+        sources: Iterable[int],
+        radius: Optional[int] = None,
+        within: Optional[Iterable[int]] = None,
     ) -> Dict[int, int]:
         """Distances from the nearest vertex of ``sources``.
 
         Only vertices within ``radius`` hops (all reachable vertices when
         ``radius`` is ``None``) appear in the result.  Multi-source BFS:
-        ``dist[v] = min over s in sources of dist(s, v)``.
+        ``dist[v] = min over s in sources of dist(s, v)``.  ``within``
+        restricts the search to the subgraph it induces (sources outside
+        it are dropped).  This is the reference that
+        :meth:`~repro.graphs.csr.CsrGraph.bfs_distances` and the gathers
+        built on it are tested against.
         """
+        allowed = None if within is None else set(within)
         dist: Dict[int, int] = {}
         queue: deque[int] = deque()
         for s in sources:
-            if s not in dist:
+            if s not in dist and (allowed is None or s in allowed):
                 dist[s] = 0
                 queue.append(s)
         while queue:
@@ -139,7 +147,7 @@ class Graph:
             if radius is not None and d >= radius:
                 continue
             for w in self._adj[u]:
-                if w not in dist:
+                if w not in dist and (allowed is None or w in allowed):
                     dist[w] = d + 1
                     queue.append(w)
         return dist
@@ -170,45 +178,18 @@ class Graph:
         dist = self.bfs_distances([u])
         return dist.get(v, float("inf"))
 
-    def eccentricity(self, v: int, backend: str = "python") -> float:
+    def eccentricity(self, v: int) -> float:
         """Maximum distance from ``v`` to any reachable vertex; ``inf`` when
-        the graph is disconnected (taken over all vertices).
-
-        ``backend="csr"`` runs the single-source sweep on the batched
-        numpy kernel; the result is identical.
-        """
-        if backend != "python":
-            from repro.graphs.csr import check_backend
-
-            check_backend(backend)
-            dist = self.csr().bfs_distances([v])
-            if bool((dist < 0).any()):
-                return float("inf")
-            return float(dist.max()) if self.n else 0.0
+        the graph is disconnected (taken over all vertices)."""
         dist = self.bfs_distances([v])
         if len(dist) < self.n:
             return float("inf")
         return max(dist.values(), default=0)
 
-    def diameter(
-        self, backend: str = "python", kernel_workers: Optional[int] = None
-    ) -> float:
-        """Graph diameter (``inf`` when disconnected, 0 when n <= 1).
-
-        ``backend="csr"`` computes all eccentricities in packed chunks
-        (:meth:`~repro.graphs.csr.CsrGraph.eccentricities`) instead of
-        ``n`` single-source Python BFS passes; ``kernel_workers``
-        shards those chunks over worker processes (csr only).
-        """
+    def diameter(self) -> float:
+        """Graph diameter (``inf`` when disconnected, 0 when n <= 1)."""
         if self.n == 0:
             return 0
-        if backend != "python":
-            from repro.graphs.csr import check_backend
-
-            check_backend(backend)
-            ecc = self.csr().eccentricities(kernel_workers=kernel_workers)
-            value = float(ecc.max())
-            return value
         best = 0.0
         for v in range(self.n):
             ecc = self.eccentricity(v)
@@ -221,20 +202,10 @@ class Graph:
     # Components and subgraphs
     # ------------------------------------------------------------------
     def connected_components(
-        self, within: Optional[Iterable[int]] = None, backend: str = "python"
+        self, within: Optional[Iterable[int]] = None
     ) -> List[Set[int]]:
         """Connected components, optionally of the subgraph induced by
-        ``within`` (components computed using only edges inside it).
-
-        ``backend="csr"`` delegates to the batched numpy kernel
-        (:meth:`~repro.graphs.csr.CsrGraph.connected_components`);
-        outputs are identical, including discovery order.
-        """
-        if backend != "python":
-            from repro.graphs.csr import check_backend
-
-            check_backend(backend)
-            return self.csr().connected_components(within=within)
+        ``within`` (components computed using only edges inside it)."""
         if within is None:
             allowed: Optional[Set[int]] = None
             universe: Iterable[int] = range(self.n)
@@ -288,26 +259,13 @@ class Graph:
     # ------------------------------------------------------------------
     # Derived graphs
     # ------------------------------------------------------------------
-    def power(
-        self,
-        k: int,
-        backend: str = "python",
-        kernel_workers: Optional[int] = None,
-    ) -> "Graph":
+    def power(self, k: int) -> "Graph":
         """The k-th power graph ``G^k``: edge when ``1 <= dist <= k``.
 
         Used by the GKM17 baseline (network decomposition of ``G^{2k}``)
-        and by the Section 1.6 blackbox construction.  ``backend="csr"``
-        computes reachability for all vertices at once via the batched
-        kernel; the result is identical.  ``kernel_workers`` shards the
-        kernel's source chunks over worker processes (csr only).
+        and by the Section 1.6 blackbox construction.
         """
         require(k >= 1, f"power k must be >= 1, got {k}")
-        if backend != "python":
-            from repro.graphs.csr import check_backend
-
-            check_backend(backend)
-            return self.csr().power(k, kernel_workers=kernel_workers)
         edges: List[Tuple[int, int]] = []
         for v in range(self.n):
             for u, d in self.bfs_distances([v], k).items():
@@ -315,19 +273,9 @@ class Graph:
                     edges.append((v, u))
         return Graph(self.n, edges)
 
-    def weak_diameter(
-        self,
-        subset: Iterable[int],
-        backend: str = "python",
-        kernel_workers: Optional[int] = None,
-    ) -> float:
+    def weak_diameter(self, subset: Iterable[int]) -> float:
         """Weak diameter: ``max_{u,v in subset} dist_G(u, v)`` measured in
         the *full* graph (Definition 1.4)."""
-        if backend != "python":
-            from repro.graphs.csr import check_backend
-
-            check_backend(backend)
-            return self.csr().weak_diameter(subset, kernel_workers=kernel_workers)
         vs = sorted(set(subset))
         if len(vs) <= 1:
             return 0
@@ -341,36 +289,18 @@ class Graph:
                 best = max(best, d)
         return best
 
-    def strong_diameter(
-        self,
-        subset: Iterable[int],
-        backend: str = "python",
-        kernel_workers: Optional[int] = None,
-    ) -> float:
+    def strong_diameter(self, subset: Iterable[int]) -> float:
         """Strong diameter: diameter of the induced subgraph ``G[subset]``."""
         sub, _ = self.induced_subgraph(subset)
-        return sub.diameter(backend=backend, kernel_workers=kernel_workers)
+        return sub.diameter()
 
-    def girth(
-        self,
-        upper_bound: Optional[int] = None,
-        backend: str = "python",
-        kernel_workers: Optional[int] = None,
-    ) -> float:
+    def girth(self, upper_bound: Optional[int] = None) -> float:
         """Length of the shortest cycle (``inf`` for forests).
 
         BFS from every vertex; a non-tree edge seen at depth d closes a
         cycle of length at most ``2d + 1``.  ``upper_bound`` allows early
         exit once a cycle at most that long is ruled in.
-        ``backend="csr"`` runs the per-root scans over batched distance
-        chunks (:meth:`~repro.graphs.csr.CsrGraph.girth`); the returned
-        value is identical, ``upper_bound`` early exit included.
         """
-        if backend != "python":
-            from repro.graphs.csr import check_backend
-
-            check_backend(backend)
-            return self.csr().girth(upper_bound, kernel_workers=kernel_workers)
         best = float("inf")
         for root in range(self.n):
             dist = {root: 0}

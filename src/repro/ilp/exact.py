@@ -278,7 +278,7 @@ def solve_packing_exact(
     key_subset: FrozenSet[int] = (
         frozenset(range(instance.n)) if subset is None else frozenset(subset)
     )
-    key = ("pack", _fingerprint(instance), key_subset)
+    key = ("pack", instance.fingerprint(), key_subset)
     if cache is not None:
         found = cache.lookup(key)
         if found is not None:
@@ -332,11 +332,6 @@ def solve_packing_exact(
     if cache is not None:
         cache.store(key, solution)
     return solution
-
-
-def _fingerprint(instance) -> int:
-    """Content fingerprint (memoized on the instance itself)."""
-    return instance.fingerprint()
 
 
 def _solve_conflict_form(
@@ -486,7 +481,7 @@ def solve_covering_exact(
         key_subset = frozenset(range(instance.n)) - fixed
     else:
         key_subset = frozenset(subset) - fixed
-    key = ("cover", _fingerprint(instance), key_subset, fixed)
+    key = ("cover", instance.fingerprint(), key_subset, fixed)
     if cache is not None:
         found = cache.lookup(key)
         if found is not None:

@@ -35,6 +35,9 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
+from repro.artifacts.fingerprint import fingerprint
 from repro.graphs.hypergraph import Hypergraph
 from repro.util.validation import require
 
@@ -107,7 +110,7 @@ class _IlpBase:
                     f"constraint {j} references variable {v} outside [0,{self.n})",
                 )
         self._hypergraph: Optional[Hypergraph] = None
-        self._fingerprint: Optional[int] = None
+        self._fingerprint: Optional[str] = None
 
     @property
     def n(self) -> int:
@@ -141,20 +144,31 @@ class _IlpBase:
             self._hypergraph = Hypergraph(self.n, edges)
         return self._hypergraph
 
-    def fingerprint(self) -> int:
-        """Stable content hash for solver caching (memoized on self).
+    def fingerprint(self) -> str:
+        """Content digest for solver caching (memoized on self).
 
-        Keyed by full content, never by object identity — ``id()`` can
-        be reused after garbage collection, which would poison caches.
+        A :func:`repro.artifacts.fingerprint` SHA-256 digest of the
+        sense, the weights and every constraint's sorted coefficients
+        and bound, all as float64 — never object identity (``id()`` is
+        reused after garbage collection) and never the process-salted
+        64-bit ``hash()``: equal content gives the same key in every
+        process, and distinct content shares a key only through a
+        SHA-256 collision.
         """
         if self._fingerprint is None:
-            items: List[Tuple] = [self.weights]
-            for c in self.constraints:
-                items.append(
-                    (tuple(sorted(c.coefficients.items())), c.bound)
-                )
-            self._fingerprint = hash(
-                (self.__class__.__name__, tuple(items))
+            rows = [sorted(c.coefficients.items()) for c in self.constraints]
+            self._fingerprint = fingerprint(
+                "ilp-instance",
+                self.sense,
+                np.asarray(self.weights, dtype=np.float64),
+                np.cumsum([0] + [len(row) for row in rows], dtype=np.int64),
+                np.fromiter(
+                    (v for row in rows for v, _ in row), dtype=np.int64
+                ),
+                np.fromiter(
+                    (a for row in rows for _, a in row), dtype=np.float64
+                ),
+                np.asarray([c.bound for c in self.constraints], dtype=np.float64),
             )
         return self._fingerprint
 

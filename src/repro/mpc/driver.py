@@ -22,8 +22,7 @@ Two primitives cover every BFS-shaped step of the LDD pipeline:
   coordinator from the reassembled full matrix: identical across rank
   counts by construction, but the serial kernel harvests retirement
   groups, so weighted totals may differ from ``execution_backend=
-  "local"`` in the last ulp (same caveat as the csr/python weighted
-  parity).
+  "local"`` in the last ulp.
 * :func:`mpc_bfs_distances` — the carve-gather BFS
   (:meth:`~repro.graphs.csr.CsrGraph.bfs_distances`).  One round per
   level: each rank expands the frontier vertices it owns, candidate

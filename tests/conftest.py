@@ -68,3 +68,32 @@ def triangle():
 @pytest.fixture
 def k5():
     return complete_graph(5)
+
+
+def _brute_force_records(graph, shifts, within=None):
+    """Every shifted-flood record, from one full BFS per source.
+
+    ``records[v]`` lists ``(value, source, dist)`` for every source whose
+    token reaches ``v`` inside ``within`` with value ``>= -1`` (the
+    value is ``dist`` successive ``- 1.0`` decrements of the shift, as
+    the flood computes it), in decreasing ``(value, source)`` order.
+    """
+    allowed = None if within is None else set(within)
+    sources = range(graph.n) if allowed is None else sorted(allowed)
+    records = [[] for _ in range(graph.n)]
+    for u in sources:
+        for v, d in graph.bfs_distances([u], within=allowed).items():
+            value = shifts[u]
+            for _ in range(d):
+                value -= 1.0
+            if value >= -1.0:
+                records[v].append((value, u, d))
+    for recs in records:
+        recs.sort(reverse=True)
+    return records
+
+
+@pytest.fixture
+def brute_force_records():
+    """The flood oracle :func:`_brute_force_records` (EN/MPX/sparse cover)."""
+    return _brute_force_records

@@ -24,10 +24,9 @@ class TestRegistry:
     def test_rule_catalogue_complete(self):
         codes = {rule.code for rule in all_rules()}
         # One representative per family: determinism, shared memory,
-        # parity, ordering.
+        # ordering.
         assert {"RPL001", "RPL002", "RPL003", "RPL004"} <= codes
         assert "RPL101" in codes
-        assert {"RPL201", "RPL202"} <= codes
         assert "RPL301" in codes
 
     def test_fresh_instances_per_run(self):

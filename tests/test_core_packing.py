@@ -104,30 +104,3 @@ class TestDiagnostics:
         b = solve_packing(inst, EPS, seed=9, cache=shared_cache)
         assert a.chosen == b.chosen
         assert a.deleted == b.deleted
-
-
-class TestBackendEquivalence:
-    """The Theorem 1.2 driver is bit-identical on both BFS engines."""
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_backends_identical(self, seed):
-        from repro.graphs import grid_graph
-        from repro.ilp import max_independent_set_ilp
-
-        instance = max_independent_set_ilp(grid_graph(5, 7))
-        ref = solve_packing(instance, 0.3, seed=seed, backend="python")
-        fast = solve_packing(instance, 0.3, seed=seed, backend="csr")
-        assert ref.chosen == fast.chosen
-        assert ref.weight == fast.weight
-        assert ref.deleted == fast.deleted
-        assert ref.num_components == fast.num_components
-        assert ref.ledger.effective_rounds == fast.ledger.effective_rounds
-
-    def test_unknown_backend_rejected(self):
-        from repro.graphs import cycle_graph
-        from repro.ilp import max_independent_set_ilp
-
-        with pytest.raises(ValueError, match="backend"):
-            solve_packing(
-                max_independent_set_ilp(cycle_graph(8)), 0.3, seed=0, backend="gpu"
-            )

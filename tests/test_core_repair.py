@@ -190,26 +190,6 @@ class TestChurnPlumbing:
         ]
         assert batches[0] == batches[1]
 
-    def test_repaired_backend_parity(self):
-        # backend="python" and backend="csr" recarves agree bit-for-bit,
-        # matching the chang_li_ldd parity contract.
-        graph = cycle_graph(300)
-        params = fragmenting_params(graph.n)
-        dec = chang_li_ldd(graph, params, seed=3)
-        rng = ensure_rng(8)
-        batch = sample_churn(
-            graph, dec, rng, clusters=2, additions=3, removals=2
-        )
-        g2 = apply_churn(graph, batch)
-        a = repair_decomposition(
-            g2, dec, batch.edges, params, seed=9, backend="csr"
-        )
-        b = repair_decomposition(
-            g2, dec, batch.edges, params, seed=9, backend="python"
-        )
-        assert a.decomposition.clusters == b.decomposition.clusters
-        assert a.decomposition.deleted == b.decomposition.deleted
-
     def test_churn_on_geometric_with_deleted_readmission(self):
         # Geometric graphs exercise the deleted-readmission path: track
         # that readmitted counts stay within the deleted pool.

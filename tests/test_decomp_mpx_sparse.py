@@ -163,12 +163,15 @@ class TestCoveringBySparseCover:
         assert not (chosen & fixed)
 
 
-class TestBackendEquivalence:
-    """csr kernels vs the heap-flood reference for MPX and sparse cover."""
+class TestFloodReference:
+    """MPX and the sparse cover against their references: MPX's owner
+    is the brute-force argmax of ``T_u − dist(u, v)``, and the sparse
+    cover's CSR within-1 membership equals the keep-all heap flood's
+    ``within_one_sources``, which equals the brute-force within-1 set."""
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("lam", [0.1, 0.3, 1.0])
-    def test_mpx_backends_identical(self, seed, lam):
+    def test_mpx_matches_brute_force_argmax(self, seed, lam, brute_force_records):
         from repro.decomp import sample_shifts
 
         rng = np.random.default_rng(seed)
@@ -179,39 +182,35 @@ class TestBackendEquivalence:
         ]
         for g in graphs:
             shifts = sample_shifts(g.n, lam, max(g.n, 2), seed=seed)
-            ref = mpx_decomposition(g, lam, shifts=shifts)
-            fast = mpx_decomposition(g, lam, shifts=shifts, backend="csr")
-            assert ref.owner == fast.owner
-            assert ref.clusters == fast.clusters
-            assert ref.centers == fast.centers
-            assert ref.cut_edges == fast.cut_edges
-            assert (
-                ref.ledger.effective_rounds == fast.ledger.effective_rounds
-            )
+            d = mpx_decomposition(g, lam, shifts=shifts)
+            oracle = brute_force_records(g, shifts)
+            assert d.owner == {v: oracle[v][0][1] for v in range(g.n)}
+            assert d.centers == sorted({recs[0][1] for recs in oracle})
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("lam", [0.05, 0.2, 0.7])
-    def test_sparse_cover_backends_identical(self, seed, lam):
-        from repro.decomp import sample_shifts
+    def test_sparse_cover_matches_keep_all_flood(self, seed, lam, brute_force_records):
+        from repro.decomp import sample_shifts, shifted_flood, within_one_sources
 
         rng = np.random.default_rng(100 + seed)
         inst = min_dominating_set_ilp(erdos_renyi_connected(26, 0.12, rng))
         hg = inst.hypergraph()
-        n = hg.primal_graph().n
+        primal = hg.primal_graph()
+        n = primal.n
         shifts = sample_shifts(n, lam, max(n, 2), seed=seed)
         within_options = [None, set(range(0, n, 2)), set(range(n // 2))]
         for within in within_options:
-            ref = sparse_cover(hg, lam, shifts=shifts, within=within)
-            fast = sparse_cover(
-                hg, lam, shifts=shifts, within=within, backend="csr"
-            )
-            assert ref.clusters == fast.clusters, (seed, lam, within)
-            assert ref.centers == fast.centers
-
-    def test_unknown_backend_rejected(self):
-        g = cycle_graph(6)
-        with pytest.raises(ValueError, match="backend"):
-            mpx_decomposition(g, 0.3, seed=0, backend="gpu")
-        hg = min_vertex_cover_ilp(g).hypergraph()
-        with pytest.raises(ValueError, match="backend"):
-            sparse_cover(hg, 0.3, seed=0, backend="gpu")
+            records = shifted_flood(primal, shifts, keep=None, within=within)
+            oracle = brute_force_records(primal, shifts, within)
+            members, brute = {}, {}
+            for v in sorted(within) if within is not None else range(n):
+                for rec in within_one_sources(records[v]):
+                    members.setdefault(rec.source, set()).add(v)
+                top = oracle[v][0][0]
+                for value, source, _ in oracle[v]:
+                    if value >= top - 1.0:
+                        brute.setdefault(source, set()).add(v)
+            assert members == brute, (seed, lam, within)
+            cover = sparse_cover(hg, lam, shifts=shifts, within=within)
+            assert cover.centers == sorted(members), (seed, lam, within)
+            assert cover.clusters == [members[c] for c in sorted(members)]

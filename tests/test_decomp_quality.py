@@ -82,32 +82,31 @@ class TestRunTrials:
         assert all(0 <= f <= 1 for f in series.fractions)
 
 
-class TestBackendEquivalence:
-    """The CSR-kernel quality path must match the python reference."""
+class TestKernelReference:
+    """The CSR-kernel diameters match the ``Graph.weak_diameter`` reference."""
 
-    def test_summarize_backends_identical(self):
+    def test_summarize_matches_reference(self):
         graph = grid_graph(8, 8)
         from repro.core import low_diameter_decomposition
 
         decomposition = low_diameter_decomposition(graph, eps=0.3, seed=2)
-        py = summarize_decomposition(graph, decomposition, backend="python")
-        csr = summarize_decomposition(graph, decomposition, backend="csr")
-        assert py == csr
+        summary = summarize_decomposition(graph, decomposition)
+        assert summary.max_weak_diameter == max(
+            (graph.weak_diameter(c) for c in decomposition.clusters), default=0.0
+        )
+        assert summary.num_clusters == len(decomposition.clusters)
 
-    def test_run_trials_backends_identical(self):
+    def test_run_trials_match_reference(self):
         graph = cycle_graph(40)
         from repro.core import low_diameter_decomposition
 
         def runner(seed):
             return low_diameter_decomposition(graph, eps=0.3, seed=seed)
 
-        py = run_ldd_trials(graph, runner, trials=3, backend="python")
-        csr = run_ldd_trials(graph, runner, trials=3, backend="csr")
-        assert py.fractions == csr.fractions
-        assert py.diameters == csr.diameters
-
-    def test_unknown_backend_rejected(self):
-        graph = cycle_graph(12)
-        decomposition = elkin_neiman_ldd(graph, 0.3, seed=0)
-        with pytest.raises(ValueError):
-            summarize_decomposition(graph, decomposition, backend="nope")
+        series = run_ldd_trials(graph, runner, trials=3)
+        expected = [runner(seed) for seed in range(3)]
+        assert series.fractions == [len(d.deleted) / graph.n for d in expected]
+        assert series.diameters == [
+            max((graph.weak_diameter(c) for c in d.clusters), default=0.0)
+            for d in expected
+        ]

@@ -1,13 +1,13 @@
 """Property-based equivalence suite: CSR kernels vs pure-Python graph ops.
 
 Every kernel in :mod:`repro.graphs.csr` must be observationally
-equivalent to its reference implementation — that equivalence is what
-licenses ``backend="csr"`` as the default execution engine for the
+equivalent to its reference, the matching :class:`Graph` method — that
+equivalence is what licenses the kernels as the one engine of the
 Theorem 1.1 pipeline.  The suite sweeps ~100 random graphs across four
 shapes (Erdős–Rényi, grids, caterpillars, and disconnected unions) and
-checks every primitive, then runs the LDD end-to-end on both backends
-and asserts the paper guarantees (the (C1) deletion bound and the
-Lemma 3.2 weak-diameter budget) for each.
+checks every primitive, then runs the LDD end-to-end and asserts the
+paper guarantees (the (C1) deletion bound and the Lemma 3.2
+weak-diameter budget).
 """
 
 import math
@@ -21,7 +21,6 @@ import repro.obs as obs
 from repro.core import LddParams, chang_li_ldd
 from repro.decomp.shifts import sample_shifts, shifted_flood
 from repro.graphs import (
-    BACKENDS,
     Graph,
     caterpillar,
     cycle_graph,
@@ -30,8 +29,9 @@ from repro.graphs import (
     path_graph,
     random_regular,
 )
-from repro.graphs.csr import CsrGraph, check_backend
+from repro.graphs.csr import CsrGraph
 from repro.local.gather import gather_ball
+from repro.mpc import MpcConfig
 
 
 def _graph_pool():
@@ -67,6 +67,12 @@ def _assert_dist_equal(graph, dist_arr, dist_dict):
         assert dist_arr[v] == dist_dict.get(v, -1)
 
 
+def _reference_ball(graph, v, radius, within=None):
+    """``(ball, depth reached)`` of the pure-Python BFS reference."""
+    dist = graph.bfs_distances([v], radius, within=within)
+    return set(dist), max(dist.values(), default=0)
+
+
 class TestKernelEquivalence:
     def test_pool_size(self):
         assert len(POOL) == 100
@@ -89,6 +95,24 @@ class TestKernelEquivalence:
             )
 
     @pytest.mark.parametrize("name,graph", POOL)
+    def test_bfs_distances_within(self, name, graph):
+        """Residual-restricted BFS: kernel (set or mask) == reference."""
+        rng = _rng(name + "-within")
+        mask = rng.random(graph.n) < 0.6
+        within = set(np.nonzero(mask)[0].tolist())
+        csr = graph.csr()
+        sources = rng.choice(graph.n, size=min(3, graph.n), replace=False).tolist()
+        for radius in (None, int(rng.integers(0, 5))):
+            ref = graph.bfs_distances(sources, radius, within=within)
+            assert set(ref) <= within
+            for kernel_within in (within, mask):
+                _assert_dist_equal(
+                    graph,
+                    csr.bfs_distances(sources, radius=radius, within=kernel_within),
+                    ref,
+                )
+
+    @pytest.mark.parametrize("name,graph", POOL)
     def test_balls_and_gather_layers(self, name, graph):
         rng = _rng(name)
         csr = graph.csr()
@@ -96,17 +120,22 @@ class TestKernelEquivalence:
         sizes, depths = csr.all_ball_sizes(radius)
         for v in range(graph.n):
             assert sizes[v] == len(graph.ball(v, radius))
-        # gather layers must be identical on both backends, including
-        # on a residual vertex set
+        # gather layers equal the reference BFS's distance classes,
+        # with and without a residual vertex set
         within = set(rng.choice(graph.n, size=max(1, graph.n // 2), replace=False).tolist())
         center = int(rng.integers(0, graph.n))
         for kwargs in ({}, {"within": within}):
-            ref = gather_ball(graph, [center], radius, **kwargs)
-            fast = gather_ball(graph, [center], radius, backend="csr", **kwargs)
-            assert ref.layers == fast.layers
-            assert ref.depth_reached == fast.depth_reached
-        ref_full = gather_ball(graph, [center], radius)
-        assert depths[center] == ref_full.depth_reached
+            dist = graph.bfs_distances([center], radius, **kwargs)
+            depth = max(dist.values(), default=0)
+            ref_layers = tuple(
+                frozenset(v for v, d in dist.items() if d == j)
+                for j in range(depth + 1)
+            )
+            fast = gather_ball(graph, [center], radius, **kwargs)
+            assert fast.layers == ref_layers
+            assert fast.depth_reached == depth
+        _, ref_depth = _reference_ball(graph, center, radius)
+        assert depths[center] == ref_depth
 
     @pytest.mark.parametrize("name,graph", POOL[::5])
     def test_weighted_ball_sizes(self, name, graph):
@@ -122,16 +151,16 @@ class TestKernelEquivalence:
             3, weights=weights, sources=sources, chunk_size=4
         )
         for j, v in enumerate(sources):
-            ref = gather_ball(graph, [v], 3)
-            assert s_sizes[j] == pytest.approx(sum(weights[u] for u in ref.ball))
-            assert s_depths[j] == ref.depth_reached
+            ball, depth = _reference_ball(graph, v, 3)
+            assert s_sizes[j] == pytest.approx(sum(weights[u] for u in ball))
+            assert s_depths[j] == depth
 
     @pytest.mark.parametrize("radius", [None, 1, 3, 10**9])
     @pytest.mark.parametrize("name,graph", POOL[::5])
     def test_masked_ball_sizes_match_gather(self, name, graph, radius):
         """Sizes and depths of plain and residual-masked sweeps equal the
-        pure-Python gather, with chunks small enough to split the pool
-        graphs."""
+        pure-Python BFS reference, with chunks small enough to split the
+        pool graphs."""
         mask = _rng(name + "-masked").random(graph.n) < 0.7
         within = set(np.nonzero(mask)[0].tolist())
         gather_radius = graph.n + 1 if radius is None else radius
@@ -140,14 +169,14 @@ class TestKernelEquivalence:
                 radius, within=kernel_within, chunk_size=17
             )
             for v in range(graph.n):
-                ref = gather_ball(graph, [v], gather_radius, within=ref_within)
-                assert sizes[v] == len(ref.ball), (name, v)
-                assert depths[v] == ref.depth_reached, (name, v)
+                ball, depth = _reference_ball(graph, v, gather_radius, ref_within)
+                assert sizes[v] == len(ball), (name, v)
+                assert depths[v] == depth, (name, v)
 
     @pytest.mark.parametrize("name,graph", POOL)
     def test_power(self, name, graph):
         for k in (1, 2, 3):
-            fast = graph.power(k, backend="csr")
+            fast = graph.csr().power(k)
             ref = graph.power(k)
             assert fast == ref
             # the trusted bulk constructor must also rebuild identical
@@ -157,17 +186,18 @@ class TestKernelEquivalence:
     @pytest.mark.parametrize("name,graph", POOL)
     def test_connected_components(self, name, graph):
         rng = _rng(name)
-        assert graph.connected_components(backend="csr") == graph.connected_components()
+        csr = graph.csr()
+        assert csr.connected_components() == graph.connected_components()
         within = set(rng.choice(graph.n, size=max(1, graph.n // 2), replace=False).tolist())
-        assert graph.connected_components(
-            within=within, backend="csr"
+        assert csr.connected_components(
+            within=within
         ) == graph.connected_components(within=within)
 
     @pytest.mark.parametrize("name,graph", POOL)
     def test_weak_diameter(self, name, graph):
         rng = _rng(name)
         subset = rng.choice(graph.n, size=max(2, graph.n // 3), replace=False).tolist()
-        assert graph.weak_diameter(subset, backend="csr") == graph.weak_diameter(subset)
+        assert graph.csr().weak_diameter(subset) == graph.weak_diameter(subset)
 
     @pytest.mark.parametrize("name,graph", POOL[::5])
     def test_distances_from_matrix(self, name, graph):
@@ -195,9 +225,13 @@ class TestKernelEquivalence:
         assert chunked_power == graph.power(2)
         assert chunked_power._adj == graph.power(2)._adj
 
+
+class TestShiftedFloodReference:
+    """The heap flood (the one engine of EN/MPX) vs a brute-force oracle
+    that evaluates ``m_u(v) = T_u − dist(u, v)`` over every source."""
+
     @pytest.mark.parametrize("name,graph", POOL[::3])
-    def test_top2_shifted_flood(self, name, graph):
-        """The EN communication core: kernel records == heap-flood records."""
+    def test_top2_matches_brute_force(self, name, graph, brute_force_records):
         rng = _rng(name)
         lam = float(rng.choice([0.1, 0.5, 1.5]))
         shifts = sample_shifts(graph.n, lam, max(graph.n, 2), seed=int(rng.integers(1 << 20)))
@@ -205,28 +239,11 @@ class TestKernelEquivalence:
         if graph.n > 4:
             within_options.append(set(range(0, graph.n, 2)))
         for within in within_options:
-            ref = shifted_flood(graph, shifts, keep=2, within=within)
-            b1v, b1s, b1d, b2v, b2s, b2d = graph.csr().top2_shifted_flood(
-                shifts, within=within
-            )
+            flood = shifted_flood(graph, shifts, keep=2, within=within)
+            oracle = brute_force_records(graph, shifts, within)
             for v in range(graph.n):
-                recs = ref[v]
-                if recs:
-                    assert (b1v[v], b1s[v], b1d[v]) == (
-                        recs[0].value,
-                        recs[0].source,
-                        recs[0].dist,
-                    )
-                else:
-                    assert b1s[v] == -1
-                if len(recs) > 1:
-                    assert (b2v[v], b2s[v], b2d[v]) == (
-                        recs[1].value,
-                        recs[1].source,
-                        recs[1].dist,
-                    )
-                else:
-                    assert b2s[v] == -1
+                got = [(r.value, r.source, r.dist) for r in flood[v]]
+                assert got == oracle[v][:2], (name, v)
 
 
 def _shattered_graph(num_components=10000):
@@ -254,9 +271,9 @@ class TestSaturationShortcut:
     def test_unbounded_radius_equals_python_gather(self, name, graph, radius):
         sizes, depths = graph.csr().all_ball_sizes(radius)
         for v in range(graph.n):
-            ref = gather_ball(graph, [v], graph.n + 1)
-            assert sizes[v] == len(ref.ball), (name, v)
-            assert depths[v] == ref.depth_reached, (name, v)
+            ball, depth = _reference_ball(graph, v, graph.n + 1)
+            assert sizes[v] == len(ball), (name, v)
+            assert depths[v] == depth, (name, v)
 
     @pytest.mark.parametrize("chunk_size", [1, 7, 63, 64, 65, 128])
     @pytest.mark.parametrize("name,graph", POOL[5::25])
@@ -274,9 +291,9 @@ class TestSaturationShortcut:
         )
         sizes, depths = graph.csr().all_ball_sizes(None, within=within)
         for v in range(graph.n):
-            ref = gather_ball(graph, [v], graph.n + 1, within=within)
-            assert sizes[v] == len(ref.ball), (name, v)
-            assert depths[v] == ref.depth_reached, (name, v)
+            ball, depth = _reference_ball(graph, v, graph.n + 1, within)
+            assert sizes[v] == len(ball), (name, v)
+            assert depths[v] == depth, (name, v)
 
     @pytest.mark.parametrize("name,graph", POOL[11::25])
     def test_weighted_saturation(self, name, graph):
@@ -284,7 +301,7 @@ class TestSaturationShortcut:
         weights = rng.random(graph.n)
         sizes, _ = graph.csr().all_ball_sizes(None, weights=weights)
         for v in range(graph.n):
-            ball = gather_ball(graph, [v], graph.n + 1).ball
+            ball, _ = _reference_ball(graph, v, graph.n + 1)
             assert sizes[v] == pytest.approx(sum(weights[u] for u in ball))
 
     @pytest.mark.parametrize("radius", [None, 1, 3, 10**9])
@@ -303,9 +320,9 @@ class TestSaturationShortcut:
                 radius, within=mask, chunk_size=chunk_size
             )
             for v in range(graph.n):
-                ref = gather_ball(graph, [v], gather_radius, within=within)
-                assert sizes[v] == len(ref.ball), (chunk_size, v)
-                assert depths[v] == ref.depth_reached, (chunk_size, v)
+                ball, depth = _reference_ball(graph, v, gather_radius, within)
+                assert sizes[v] == len(ball), (chunk_size, v)
+                assert depths[v] == depth, (chunk_size, v)
 
     def test_shattered_components_retire_early(self):
         """10^4 path-3 components: every source saturates by depth 2, so
@@ -504,35 +521,31 @@ class TestGirth:
 
     @pytest.mark.parametrize("name,graph", POOL[::4])
     def test_matches_reference(self, name, graph):
-        assert graph.girth(backend="csr") == graph.girth()
+        assert graph.csr().girth() == graph.girth()
 
     @pytest.mark.parametrize("name,graph", POOL[2::10])
     def test_upper_bound_early_exit_matches(self, name, graph):
         for ub in (3, 4, 6, 10):
-            assert graph.girth(upper_bound=ub, backend="csr") == graph.girth(
+            assert graph.csr().girth(upper_bound=ub) == graph.girth(
                 upper_bound=ub
             ), (name, ub)
 
     def test_named_graphs(self):
         from repro.graphs.highgirth import mcgee_graph, petersen_graph
 
-        assert petersen_graph().girth(backend="csr") == 5
-        assert mcgee_graph().girth(backend="csr") == 7
-        assert cycle_graph(9).girth(backend="csr") == 9
-        assert grid_graph(3, 4).girth(backend="csr") == 4
+        assert petersen_graph().csr().girth() == 5
+        assert mcgee_graph().csr().girth() == 7
+        assert cycle_graph(9).csr().girth() == 9
+        assert grid_graph(3, 4).csr().girth() == 4
 
     def test_forest_and_edge_cases(self):
         from repro.graphs import path_graph, random_tree
 
-        assert path_graph(6).girth(backend="csr") == float("inf")
-        assert Graph(0).girth(backend="csr") == float("inf")
-        assert Graph(5).girth(backend="csr") == float("inf")
+        assert path_graph(6).csr().girth() == float("inf")
+        assert Graph(0).csr().girth() == float("inf")
+        assert Graph(5).csr().girth() == float("inf")
         tree = random_tree(40, np.random.default_rng(3))
-        assert tree.girth(backend="csr") == tree.girth() == float("inf")
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            cycle_graph(5).girth(backend="gpu")
+        assert tree.csr().girth() == tree.girth() == float("inf")
 
 
 class TestCsrEdgeCases:
@@ -550,17 +563,6 @@ class TestCsrEdgeCases:
         assert sizes.tolist() == [2, 2, 1, 1]
         assert depths.tolist() == [1, 1, 0, 0]
         assert csr.connected_components() == [{0, 1}, {2}, {3}]
-
-    def test_unknown_backend_rejected(self):
-        g = cycle_graph(5)
-        with pytest.raises(ValueError, match="backend"):
-            g.power(2, backend="gpu")
-        with pytest.raises(ValueError, match="backend"):
-            gather_ball(g, [0], 2, backend="gpu")
-        with pytest.raises(ValueError, match="backend"):
-            chang_li_ldd(g, LddParams.practical(0.3, 5), backend="gpu")
-        assert "csr" in BACKENDS and "python" in BACKENDS
-        check_backend("csr")
 
     def test_csr_cache_reused(self):
         g = cycle_graph(6)
@@ -582,14 +584,16 @@ def _diameter_budget(params: LddParams) -> float:
     )
 
 
-class TestLddEndToEndBothBackends:
-    """Both backends satisfy Theorem 1.1's guarantees and agree exactly."""
+class TestLddEndToEnd:
+    """Theorem 1.1's guarantees hold, and the local run (saturation
+    short-circuit where it applies) equals the partitioned run, which
+    sweeps every source."""
 
     GRAPHS = (
         ("cycle-150", lambda: cycle_graph(150)),
         ("grid-12x12", lambda: grid_graph(12, 12)),
         ("caterpillar-40x2", lambda: caterpillar(40, 2)),
-        # Wide enough for the csr n_v estimate to run its certification
+        # Wide enough for the n_v estimate to run its certification
         # rounds over several components.
         (
             "grid-24x24+cycle-150+path-80",
@@ -603,21 +607,24 @@ class TestLddEndToEndBothBackends:
     def test_guarantees_and_agreement(self, name, make):
         eps = 0.3
         for seed in range(3):
-            results = {}
-            for backend in BACKENDS:
-                graph = make()
-                params = LddParams.practical(eps, graph.n)
-                d = chang_li_ldd(graph, params, seed=seed, backend=backend)
-                # (C1): the unclustered fraction stays below eps
-                assert len(d.deleted) <= eps * graph.n, (name, backend, seed)
-                # Lemma 3.2: every cluster within the weak-diameter budget
-                budget = _diameter_budget(params)
-                for cluster in d.clusters:
-                    assert graph.weak_diameter(cluster, backend="csr") <= budget
-                results[backend] = d
-            ref, fast = results["python"], results["csr"]
-            assert ref.deleted == fast.deleted, (name, seed)
-            assert ref.clusters == fast.clusters, (name, seed)
+            graph = make()
+            params = LddParams.practical(eps, graph.n)
+            d = chang_li_ldd(graph, params, seed=seed)
+            # (C1): the unclustered fraction stays below eps
+            assert len(d.deleted) <= eps * graph.n, (name, seed)
+            # Lemma 3.2: every cluster within the weak-diameter budget
+            budget = _diameter_budget(params)
+            for cluster in d.clusters:
+                assert graph.weak_diameter(cluster) <= budget
+            swept = chang_li_ldd(
+                graph,
+                params,
+                seed=seed,
+                execution_backend="mpc",
+                mpc=MpcConfig(ranks=2),
+            )
+            assert swept.deleted == d.deleted, (name, seed)
+            assert swept.clusters == d.clusters, (name, seed)
             assert (
-                ref.ledger.effective_rounds == fast.ledger.effective_rounds
+                swept.ledger.effective_rounds == d.ledger.effective_rounds
             ), (name, seed)

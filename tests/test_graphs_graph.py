@@ -242,23 +242,22 @@ class TestDiameterBackends:
             random_tree(30, np.random.default_rng(1)),
         ]
         for graph in graphs:
-            assert graph.diameter() == graph.diameter(backend="csr"), graph
+            assert graph.diameter() == graph.csr().diameter(), graph
 
     def test_eccentricity_matches_python(self):
         for graph in self.CASES:
             for v in range(graph.n):
-                assert graph.eccentricity(v) == graph.eccentricity(
-                    v, backend="csr"
-                ), (graph, v)
+                assert graph.eccentricity(v) == graph.csr().eccentricities()[
+                    v
+                ], (graph, v)
 
-    def test_strong_diameter_backend(self):
+    def test_strong_diameter_matches_kernel(self):
         from repro.graphs import grid_graph
 
         graph = grid_graph(4, 4)
         subset = [0, 1, 2, 5, 6]
-        assert graph.strong_diameter(subset) == graph.strong_diameter(
-            subset, backend="csr"
-        )
+        sub, _ = graph.induced_subgraph(subset)
+        assert graph.strong_diameter(subset) == sub.csr().diameter()
 
     def test_csr_eccentricities_batch(self):
         import numpy as np
@@ -271,7 +270,3 @@ class TestDiameterBackends:
         assert [graph.eccentricity(v) for v in range(graph.n)] == ecc.tolist()
         disconnected = Graph(3, [(0, 1)])
         assert np.isinf(disconnected.csr().eccentricities()).all()
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            Graph(2, [(0, 1)]).diameter(backend="bogus")

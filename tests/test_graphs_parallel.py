@@ -179,15 +179,10 @@ class TestConsumerBitIdentity:
 
     def test_graph_level_kernels_identical(self):
         graph = random_regular(200, 4, np.random.default_rng(9))
-        assert graph.power(2, backend="csr") == graph.power(
-            2, backend="csr", kernel_workers=2
-        )
-        assert graph.diameter(backend="csr") == graph.diameter(
-            backend="csr", kernel_workers=2
-        )
-        assert graph.girth(backend="csr") == graph.girth(
-            backend="csr", kernel_workers=2
-        )
+        csr = graph.csr()
+        assert csr.power(2) == csr.power(2, kernel_workers=2)
+        assert csr.diameter() == csr.diameter(kernel_workers=2)
+        assert csr.girth() == csr.girth(kernel_workers=2)
 
 
 class TestEnvDefaultPath:

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.ilp.exact as exact_module
-from repro.graphs import Graph, cycle_graph, erdos_renyi_connected, petersen_graph
+from repro.graphs import (
+    Graph,
+    cycle_graph,
+    erdos_renyi_connected,
+    grid_graph,
+    petersen_graph,
+)
 from repro.ilp import (
     Constraint,
     CoveringInstance,
@@ -267,3 +273,59 @@ class TestSolveCache:
         b = solve_packing_exact(inst, subset={4, 5}, cache=cache)
         assert cache.misses == 2
         assert a.chosen != b.chosen
+
+
+class TestCacheKeyIdentity:
+    """``SolveCache`` keys are content digests: equal content gives the
+    same key in every process, and any content change gives a new one."""
+
+    _KEY_SCRIPT = (
+        "from repro.graphs import grid_graph\n"
+        "from repro.ilp import max_independent_set_ilp\n"
+        "inst = max_independent_set_ilp(grid_graph(3, 4), "
+        "weights=[0.5 + v for v in range(12)])\n"
+        "print(inst.fingerprint())\n"
+    )
+
+    def test_same_key_under_two_hash_seeds(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        keys = set()
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+            out = subprocess.run(
+                [sys.executable, "-c", self._KEY_SCRIPT],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            keys.add(out.stdout.strip())
+        local = max_independent_set_ilp(
+            grid_graph(3, 4), weights=[0.5 + v for v in range(12)]
+        ).fingerprint()
+        assert keys == {local}
+
+    def test_one_coefficient_changes_the_key(self):
+        rows = [Constraint({0: 1.0, 1: 1.0}, 1.0), Constraint({1: 1.0, 2: 1.0}, 1.0)]
+        base = PackingInstance([1.0, 2.0, 3.0], rows)
+        same = PackingInstance([1.0, 2.0, 3.0], list(rows))
+        changed = PackingInstance(
+            [1.0, 2.0, 3.0], [rows[0], Constraint({1: 1.0, 2: 2.0}, 1.0)]
+        )
+        assert same.fingerprint() == base.fingerprint()
+        assert changed.fingerprint() != base.fingerprint()
+
+    def test_cache_separates_instances_by_content(self):
+        loose = PackingInstance([1.0, 1.0], [Constraint({0: 1.0, 1: 1.0}, 2.0)])
+        tight = PackingInstance([1.0, 1.0], [Constraint({0: 1.0, 1: 2.0}, 2.0)])
+        cache = SolveCache()
+        assert solve_packing_exact(loose, cache=cache).weight == 2.0
+        assert solve_packing_exact(tight, cache=cache).weight == 1.0
+        assert cache.misses == 2

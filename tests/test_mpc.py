@@ -8,7 +8,7 @@ source subsets and forced tiny partitions (empty shards) — and the
 per-round metering tables are bit-reproducible across repeat runs and
 pinned as literals.  Weighted ball sizes are the documented exception:
 identical across *rank counts*, allclose vs the serial harvest (float
-summation order differs; same caveat as the csr/python parity).
+summation order differs).
 """
 
 import dataclasses
@@ -476,14 +476,6 @@ class TestLddExecutionBackend:
         by_label = local.ledger.by_label()
         assert partitioned.ledger.by_label()["estimate-nv"] == by_label["estimate-nv"]
         assert partitioned.ledger.effective_rounds == local.ledger.effective_rounds
-
-    def test_mpc_requires_the_csr_backend(self):
-        graph = grid_graph(4, 4)
-        params = LddParams.practical(0.3, graph.n)
-        with pytest.raises(ValueError, match="csr"):
-            chang_li_ldd(
-                graph, params, seed=1, backend="python", execution_backend="mpc"
-            )
 
 
 class TestMpcCommScenario:

@@ -305,7 +305,7 @@ class TestCli:
 
 
 class TestOverheadGuard:
-    """Tier-1 guard: disabled tracing adds <2% to kernel-speed's LDD.
+    """Tier-1 guard: disabled tracing adds <2% to the 40x40 grid LDD.
 
     Directly timing two runs of the scenario is noise-bound in CI, so
     the guard is computed: a traced run counts the instrumentation
@@ -322,13 +322,13 @@ class TestOverheadGuard:
         graph = grid_graph(40, 40)
 
         def run_ldd():
-            return low_diameter_decomposition(graph, eps=0.3, seed=0, backend="csr")
+            return low_diameter_decomposition(graph, eps=0.3, seed=0)
 
         run_ldd()  # warm caches outside both measurements
         with obs.collect() as col:
             run_ldd()
         events = col.events
-        assert events > 0, "kernel-speed LDD path is instrumented"
+        assert events > 0, "the LDD path is instrumented"
 
         start = time.perf_counter()
         run_ldd()
