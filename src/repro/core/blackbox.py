@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Set
 
-from repro.core.carve import grow_and_carve
+from repro.core.carve import carve_round, grow_and_carve
 from repro.decomp.elkin_neiman import elkin_neiman_ldd
 from repro.decomp.types import Decomposition
 from repro.graphs.graph import Graph
@@ -63,7 +63,9 @@ def blackbox_ldd(
 
     live: Set[int] = set(range(n))
     deleted: Set[int] = set()
-    clustered: Set[int] = set()
+
+    def carve(seeds, interval, snapshot):
+        return grow_and_carve(graph, seeds, interval, snapshot)
 
     for rep in range(repetitions):
         if not live:
@@ -83,31 +85,23 @@ def blackbox_ldd(
         # Step 2: each cluster carves its ball in G[live] and deletes
         # its sparsest layer; clusters are > k apart in G[live], so with
         # carving radius at most k//2 the grown balls stay disjoint.
-        interval = (1, max(2, k // 2))
-        snapshot = set(live)
-        removed_now: Set[int] = set()
-        deleted_now: Set[int] = set()
-        max_depth = 0
-        for cluster in half.clusters:
-            seeds = {inverse[i] for i in cluster}
-            outcome = grow_and_carve(
-                graph, seeds, interval, snapshot
-            )
-            removed_now |= outcome.removed
-            deleted_now |= outcome.deleted
-            max_depth = max(max_depth, outcome.depth)
-        removed_now -= deleted_now
-        deleted |= deleted_now
-        clustered |= removed_now
-        live -= removed_now
-        live -= deleted_now
-        ledger.charge(f"rep{rep}-carve", 2 * interval[1], 2 * max_depth)
+        carve_round(
+            graph,
+            [{inverse[i] for i in cluster} for cluster in half.clusters],
+            (1, max(2, k // 2)),
+            live,
+            deleted,
+            ledger,
+            f"rep{rep}-carve",
+            carve,
+        )
 
-    # Step 3: whatever survives all repetitions is deleted outright.
+    # Step 3: whatever survives all repetitions is deleted outright;
+    # every other vertex was removed into a cluster by a carve.
     deleted |= live
     clusters = [
         set(c)
-        for c in graph.connected_components(within=clustered - deleted)
+        for c in graph.connected_components(within=set(range(n)) - deleted)
     ]
     return Decomposition(
         clusters=clusters,

@@ -14,23 +14,26 @@ one, and split the graph there.  They differ in what is cut:
   *covering* solution on the lightest odd layer pair (satisfying every
   constraint crossing it) and remove ``N^{j*}`` as an isolated zone.
 
-The iteration drivers (in :mod:`repro.core.ldd` etc.) apply carves of
-all sampled centers against the *same* residual snapshot, then merge:
-a vertex deleted by any carve is deleted ("deleted wins", Section
-3.1.2); fixed assignments are unioned (Section 5.1.2).
+:func:`carve_round` is the one iteration step of every driver
+(:mod:`repro.core.ldd`, ``packing``, ``covering``, ``blackbox``): it
+applies the carves of all sampled centers against the *same* residual
+snapshot, then merges them — a vertex deleted by any carve is deleted
+("deleted wins", Section 3.1.2); fixed assignments are unioned
+(Section 5.1.2).  :func:`prepare_clusters` is the preparation step
+shared by packing and covering (Sections 4.1.1 and 5.1.1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Set, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
 import repro.obs as _obs
 from repro.artifacts.cache import SolveCache
 from repro.graphs.graph import Graph
 from repro.ilp.exact import solve_covering_exact, solve_packing_exact
 from repro.ilp.instance import CoveringInstance, PackingInstance
-from repro.local.gather import gather_ball
+from repro.local.gather import GatherResult, RoundLedger, gather_ball
 from repro.util.validation import require
 
 Interval = Tuple[int, int]
@@ -62,6 +65,35 @@ def _weights_of(layer: Iterable[int], weights: Optional[Sequence[float]]) -> flo
     return sum(weights[v] for v in sorted(set(layer)))
 
 
+def _gather(
+    graph: Graph,
+    centers: Iterable[int],
+    radius: int,
+    remaining,
+    min_depth: int,
+    mpc=None,
+) -> Tuple[GatherResult, Optional[CarveOutcome]]:
+    """Every carve's prologue: gather ``N^radius(centers)`` in the residual.
+
+    When the BFS exhausts the residual component before ``min_depth``
+    the second value is the outcome that removes the whole ball and
+    deletes nothing — the carve's purpose (isolating a cluster) is
+    already achieved; otherwise it is ``None``.
+    """
+    with _obs.span("carve.gather"):
+        gathered = gather_ball(graph, centers, radius, within=remaining, mpc=mpc)
+    depth = gathered.depth_reached
+    if depth >= min_depth:
+        return gathered, None
+    return gathered, CarveOutcome(
+        removed=gathered.ball,
+        deleted=set(),
+        fixed_ones=set(),
+        cut_position=depth,
+        depth=depth,
+    )
+
+
 def grow_and_carve(
     graph: Graph,
     centers: Iterable[int],
@@ -77,8 +109,7 @@ def grow_and_carve(
     ties break toward the smaller index.
 
     When the BFS exhausts the residual component before reaching ``a``
-    the whole component is removed and nothing is deleted — the carve's
-    purpose (isolating a cluster) is already achieved.
+    the whole component is removed and nothing is deleted.
 
     ``remaining`` may be a precomputed boolean residual mask shared
     across the iteration's carves (see :func:`gather_ball`).  ``mpc`` (an :class:`~repro.mpc.MpcRun` on this graph) runs the
@@ -86,23 +117,10 @@ def grow_and_carve(
     """
     a, b = interval
     require(1 <= a <= b, f"invalid interval [{a}, {b}]")
-    with _obs.span("carve.gather"):
-        gathered = gather_ball(
-            graph,
-            centers,
-            b,
-            within=remaining,
-            mpc=mpc,
-        )
+    gathered, exhausted = _gather(graph, centers, b, remaining, a, mpc)
+    if exhausted is not None:
+        return exhausted
     layers = gathered.layers
-    if gathered.depth_reached < a:
-        return CarveOutcome(
-            removed=set(gathered.ball),
-            deleted=set(),
-            fixed_ones=set(),
-            cut_position=gathered.depth_reached,
-            depth=gathered.depth_reached,
-        )
     best_j = a
     best_size = float("inf")
     for j in range(a, min(b, gathered.depth_reached) + 1):
@@ -110,13 +128,9 @@ def grow_and_carve(
         if size < best_size:
             best_size = size
             best_j = j
-    deleted = set(layers[best_j])
-    removed: Set[int] = set()
-    for j in range(best_j):
-        removed |= set(layers[j])
     return CarveOutcome(
-        removed=removed,
-        deleted=deleted,
+        removed=set().union(*layers[:best_j]),
+        deleted=set(layers[best_j]),
         fixed_ones=set(),
         cut_position=best_j,
         depth=gathered.depth_reached,
@@ -143,46 +157,24 @@ def grow_and_carve_packing(
     """
     a, b = interval
     require(1 <= a < b, f"invalid interval [{a}, {b}]")
-    with _obs.span("carve.gather"):
-        gathered = gather_ball(
-            graph,
-            centers,
-            b - 1,
-            within=remaining,
-        )
+    gathered, exhausted = _gather(graph, centers, b - 1, remaining, a)
+    if exhausted is not None:
+        return exhausted
     layers = gathered.layers
-    if gathered.depth_reached < a:
-        return CarveOutcome(
-            removed=set(gathered.ball),
-            deleted=set(),
-            fixed_ones=set(),
-            cut_position=gathered.depth_reached,
-            depth=gathered.depth_reached,
-        )
     with _obs.span("carve.local_solve"):
         local = solve_packing_exact(instance, subset=gathered.ball, cache=cache)
     best_j = a
     best_weight = float("inf")
     j = a
     while j <= b - 1:
-        window = set(layers[j]) if j < len(layers) else set()
-        if j + 1 < len(layers):
-            window |= set(layers[j + 1])
-        if j + 2 < len(layers):
-            window |= set(layers[j + 2])
-        w = instance.weight_on(local.chosen, window)
+        w = instance.weight_on(local.chosen, set().union(*layers[j : j + 3]))
         if w < best_weight:
             best_weight = w
             best_j = j
         j += 3
-    deleted = set(layers[best_j + 1]) if best_j + 1 < len(layers) else set()
-    removed: Set[int] = set()
-    for j in range(best_j + 1):
-        if j < len(layers):
-            removed |= set(layers[j])
     return CarveOutcome(
-        removed=removed,
-        deleted=deleted,
+        removed=set().union(*layers[: best_j + 1]),
+        deleted=set(gathered.layer(best_j + 1)),
         fixed_ones=set(),
         cut_position=best_j,
         depth=gathered.depth_reached,
@@ -212,22 +204,10 @@ def grow_and_carve_covering(
     """
     a, b = interval
     require(1 <= a < b, f"invalid interval [{a}, {b}]")
-    with _obs.span("carve.gather"):
-        gathered = gather_ball(
-            graph,
-            centers,
-            b,
-            within=remaining,
-        )
+    gathered, exhausted = _gather(graph, centers, b, remaining, a + 1)
+    if exhausted is not None:
+        return exhausted
     layers = gathered.layers
-    if gathered.depth_reached < a + 1:
-        return CarveOutcome(
-            removed=set(gathered.ball),
-            deleted=set(),
-            fixed_ones=set(),
-            cut_position=gathered.depth_reached,
-            depth=gathered.depth_reached,
-        )
     with _obs.span("carve.local_solve"):
         local = solve_covering_exact(
             instance, subset=gathered.ball, fixed_ones=fixed_ones, cache=cache
@@ -244,14 +224,127 @@ def grow_and_carve_covering(
             best_j = j
     require(best_j is not None, "no odd cut position available")
     pair = set(layers[best_j]) | set(layers[best_j + 1])
-    newly_fixed = {u for u in local.chosen if u in pair}
-    removed: Set[int] = set()
-    for j in range(best_j + 1):
-        removed |= set(layers[j])
     return CarveOutcome(
-        removed=removed,
+        removed=set().union(*layers[: best_j + 1]),
         deleted=set(),
-        fixed_ones=newly_fixed,
+        fixed_ones={u for u in local.chosen if u in pair},
         cut_position=best_j,
         depth=gathered.depth_reached,
     )
+
+
+@dataclass(frozen=True)
+class RoundOutcome:
+    """One :func:`carve_round`, merged and already applied.
+
+    ``removed`` and ``deleted`` are the round's new clusters and
+    deletions (after "deleted wins"), ``fixed_ones`` the union of the
+    carves' committed assignments, and ``executed`` the number of
+    carves actually run — a center whose seeds were all carved away
+    before the round is skipped and not counted.
+    """
+
+    removed: Set[int]
+    deleted: Set[int]
+    fixed_ones: Set[int]
+    executed: int
+
+
+def carve_round(
+    graph: Graph,
+    seed_sets: Sequence[Iterable[int]],
+    interval: Interval,
+    remaining: Set[int],
+    deleted: Set[int],
+    ledger: RoundLedger,
+    label: str,
+    carve: Callable[..., CarveOutcome],
+) -> RoundOutcome:
+    """Run every center's carve against one residual snapshot and merge.
+
+    ``carve(seeds, interval, snapshot)`` is one center's
+    grow-and-carve; ``seeds`` is the center's seed set intersected with
+    ``remaining`` (empty intersections are skipped) and ``snapshot``
+    the round's boolean residual mask, built once and shared by every
+    carve.  A vertex deleted by any carve is deleted even if another
+    carve removed it; fixed assignments are unioned.  ``remaining``
+    loses the removed and deleted vertices and ``deleted`` gains the
+    latter, both in place.  All carves run simultaneously, so the round
+    is charged once under ``label``: ``2b`` nominal rounds and twice
+    the deepest gather effective rounds.
+    """
+    removed_now: Set[int] = set()
+    deleted_now: Set[int] = set()
+    fixed_now: Set[int] = set()
+    max_depth = 0
+    executed = 0
+    snapshot = graph.csr().residual_mask(remaining) if seed_sets else None
+    for seed_set in seed_sets:
+        seeds = set(seed_set) & remaining
+        if not seeds:
+            continue
+        executed += 1
+        outcome = carve(seeds, interval, snapshot)
+        removed_now |= outcome.removed
+        deleted_now |= outcome.deleted
+        fixed_now |= outcome.fixed_ones
+        max_depth = max(max_depth, outcome.depth)
+    removed_now -= deleted_now  # deleted wins
+    deleted |= deleted_now
+    remaining -= removed_now
+    remaining -= deleted_now
+    ledger.charge(label, 2 * interval[1], 2 * max_depth)
+    return RoundOutcome(
+        removed=removed_now,
+        deleted=deleted_now,
+        fixed_ones=fixed_now,
+        executed=executed,
+    )
+
+
+@dataclass(frozen=True)
+class PrepCluster:
+    """A preparation cluster ``C`` and its sampling estimate's weights.
+
+    ``weight_self`` is the local optimum's weight on ``C``,
+    ``weight_neighborhood`` the local optimum's weight on
+    ``S_C = N^radius(C)``.
+    """
+
+    vertices: frozenset
+    weight_self: float
+    weight_neighborhood: float
+
+
+def prepare_clusters(
+    graph: Graph,
+    decompositions: Sequence,
+    radius: int,
+    local_weight: Callable[[Set[int]], float],
+    ledger: RoundLedger,
+    label: str,
+) -> List[PrepCluster]:
+    """Preparation step (Sections 4.1.1 and 5.1.1): weigh every cluster.
+
+    ``decompositions`` (anything with ``clusters`` and ``ledger``) ran
+    in parallel and are charged as one ``label`` phase.  Each of their
+    clusters, in order, gathers ``S_C`` and is weighed by
+    ``local_weight`` (the weight of an optimal local solution on a
+    vertex subset) — on ``C`` first, then on ``S_C``.
+    """
+    ledger.merge_parallel([d.ledger for d in decompositions], label)
+    clusters: List[PrepCluster] = []
+    max_depth = 0
+    for decomposition in decompositions:
+        for cluster in decomposition.clusters:
+            gathered = gather_ball(graph, cluster, radius)
+            max_depth = max(max_depth, gathered.depth_reached)
+            clusters.append(
+                PrepCluster(
+                    vertices=frozenset(cluster),
+                    weight_self=local_weight(cluster),
+                    weight_neighborhood=local_weight(gathered.ball),
+                )
+            )
+    ledger.charge("prep-estimates", 2 * radius, 2 * max_depth)
+    return clusters

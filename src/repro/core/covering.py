@@ -27,19 +27,22 @@ the residual) and then semantically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Set
 
 from repro.artifacts.cache import SolveCache
-from repro.core.carve import grow_and_carve_covering
-from repro.core.params import CoveringParams
+from repro.core.carve import (
+    carve_round,
+    grow_and_carve_covering,
+    prepare_clusters,
+)
+from repro.core.params import CoveringParams, profile_params
 from repro.decomp.sparse_cover import (
     solve_covering_by_sparse_cover,
     sparse_cover,
 )
-from repro.graphs.graph import Graph
 from repro.ilp.exact import solve_covering_exact
 from repro.ilp.instance import FEASIBILITY_TOL, CoveringInstance
-from repro.local.gather import RoundLedger, gather_ball
+from repro.local.gather import RoundLedger
 from repro.util.rng import SeedLike, spawn_rngs
 from repro.util.validation import require
 
@@ -56,13 +59,6 @@ class CoveringResult:
     residual_size: int
     num_prep_clusters: int
     centers_per_iteration: List[int] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class _PrepCluster:
-    vertices: frozenset
-    weight_self: float
-    weight_neighborhood: float
 
 
 def chang_li_covering(
@@ -92,8 +88,20 @@ def chang_li_covering(
     phase_rng = rng_streams[params.prep_count]
     final_rng = rng_streams[params.prep_count + 1]
 
-    clusters = _prepare_clusters(
-        instance, graph, hypergraph, params, prep_rngs, ledger, cache
+    clusters = prepare_clusters(
+        graph,
+        [
+            sparse_cover(
+                hypergraph, params.prep_lambda, ntilde=params.ntilde, seed=rng
+            )
+            for rng in prep_rngs
+        ],
+        params.cluster_radius,
+        lambda subset: solve_covering_exact(
+            instance, subset=subset, cache=cache
+        ).weight,
+        ledger,
+        "prep-sparse-cover",
     )
 
     remaining: Set[int] = set(range(n))
@@ -101,48 +109,35 @@ def chang_li_covering(
     fixed_ones: Set[int] = set()
     centers_per_iteration: List[int] = []
 
+    def carve(seeds, interval, snapshot):
+        return grow_and_carve_covering(
+            instance, graph, seeds, interval, snapshot, fixed_ones, cache=cache
+        )
+
     cluster_rngs = spawn_rngs(phase_rng, max(1, len(clusters)))
     for i in range(1, params.t + 1):
-        interval = params.interval(i)
-        center_ids = [
-            idx
+        seed_sets = [
+            cluster.vertices
             for idx, cluster in enumerate(clusters)
             if cluster_rngs[idx].random()
             < params.sampling_probability(
                 i, cluster.weight_self, cluster.weight_neighborhood
             )
         ]
-        removed_now: Set[int] = set()
-        fixed_now: Set[int] = set()
-        max_depth = 0
-        executed = 0
-        snapshot = remaining
-        if center_ids:
-            # One mask per residual snapshot, shared by all carves.
-            snapshot = graph.csr().residual_mask(remaining)
-        for idx in center_ids:
-            seeds = set(clusters[idx].vertices) & remaining
-            if not seeds:
-                continue
-            executed += 1
-            outcome = grow_and_carve_covering(
-                instance,
-                graph,
-                seeds,
-                interval,
-                snapshot,
-                fixed_ones,
-                cache=cache,
-            )
-            removed_now |= outcome.removed
-            fixed_now |= outcome.fixed_ones
-            max_depth = max(max_depth, outcome.depth)
-        fixed_ones |= fixed_now  # assignments union (Section 5.1.2)
-        remaining -= removed_now
-        removed |= removed_now
-        ledger.charge(f"phase1-iter{i}", 2 * interval[1], 2 * max_depth)
-        # Carves actually executed, not sampled centers (E12 accuracy).
-        centers_per_iteration.append(executed)
+        # Covering carves delete nothing; the round's deleted set stays empty.
+        outcome = carve_round(
+            graph,
+            seed_sets,
+            params.interval(i),
+            remaining,
+            set(),
+            ledger,
+            f"phase1-iter{i}",
+            carve,
+        )
+        removed |= outcome.removed
+        fixed_ones |= outcome.fixed_ones  # assignments union (Section 5.1.2)
+        centers_per_iteration.append(outcome.executed)
 
     chosen = set(fixed_ones)
     fixed_weight = instance.weight(fixed_ones)
@@ -225,56 +220,8 @@ def solve_covering(
     **profile_kwargs,
 ) -> CoveringResult:
     """Public entry point: profile construction + :func:`chang_li_covering`."""
-    ntilde = ntilde if ntilde is not None else max(instance.n, 2)
-    if profile == "paper":
-        params = CoveringParams.paper(eps, ntilde)
-    elif profile == "practical":
-        params = CoveringParams.practical(eps, ntilde, **profile_kwargs)
-    else:
-        raise ValueError(f"unknown profile {profile!r}")
+    params = profile_params(
+        CoveringParams, profile, eps, ntilde, instance.n, **profile_kwargs
+    )
     return chang_li_covering(instance, params, seed=seed, cache=cache)
 
-
-def _prepare_clusters(
-    instance: CoveringInstance,
-    graph: Graph,
-    hypergraph,
-    params: CoveringParams,
-    prep_rngs: Sequence,
-    ledger: RoundLedger,
-    cache: SolveCache,
-) -> List[_PrepCluster]:
-    """Preparation (Section 5.1.1): sparse covers + weight estimates."""
-    prep_ledgers = []
-    raw_clusters: List[Set[int]] = []
-    for rng in prep_rngs:
-        cover = sparse_cover(
-            hypergraph,
-            params.prep_lambda,
-            ntilde=params.ntilde,
-            seed=rng,
-        )
-        raw_clusters.extend(cover.clusters)
-        prep_ledgers.append(cover.ledger)
-    ledger.merge_parallel(prep_ledgers, "prep-sparse-cover")
-    clusters: List[_PrepCluster] = []
-    max_depth = 0
-    for cluster in raw_clusters:
-        gathered = gather_ball(graph, cluster, params.cluster_radius)
-        neighborhood = gathered.ball
-        max_depth = max(max_depth, gathered.depth_reached)
-        w_self = solve_covering_exact(
-            instance, subset=cluster, cache=cache
-        ).weight
-        w_neigh = solve_covering_exact(
-            instance, subset=neighborhood, cache=cache
-        ).weight
-        clusters.append(
-            _PrepCluster(
-                vertices=frozenset(cluster),
-                weight_self=w_self,
-                weight_neighborhood=w_neigh,
-            )
-        )
-    ledger.charge("prep-estimates", 2 * params.cluster_radius, 2 * max_depth)
-    return clusters

@@ -25,12 +25,13 @@ weighted generalization used by the Section 4 "alternative approach".
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 import repro.obs as _obs
-from repro.core.carve import grow_and_carve
-from repro.core.params import LddParams
+from repro.core.carve import carve_round, grow_and_carve
+from repro.core.params import LddParams, profile_params
 from repro.decomp.elkin_neiman import elkin_neiman_ldd
 from repro.decomp.types import Decomposition
 from repro.graphs.graph import Graph
@@ -153,49 +154,49 @@ def chang_li_ldd(
             estimates = {v: float(sizes[v]) for v in range(n)}
     ledger.charge("estimate-nv", params.estimate_radius, max_depth)
 
-    # -- Phase 1: t sparsification iterations (Algorithm 2). ------
-    for i in range(1, params.t + 1):
-        interval = params.interval(i)
-        centers = [
-            v
-            for v in sorted(remaining)
-            if rngs[v].random()
-            < params.sampling_probability(i, max(1, int(estimates[v])))
-        ]
-        _apply_carves(
-            graph,
-            centers,
-            interval,
-            remaining,
-            deleted,
-            ledger,
+    # -- Phase 1: t sparsification iterations (Algorithm 2), then --
+    # -- Phase 2: one boosted iteration (Algorithm 3). -------------
+    # Phase 1 draws from stream v, phase 2 from stream n + v.
+    rounds = [
+        (
             f"phase1-iter{i}",
-            weights,
-            trace,
-            mpc_run,
+            params.interval(i),
+            0,
+            functools.partial(params.sampling_probability, i),
+        )
+        for i in range(1, params.t + 1)
+    ]
+    if not skip_phase2:
+        rounds.append(
+            ("phase2", params.phase2_interval(), n, params.phase2_probability)
         )
 
-    # -- Phase 2: one boosted iteration (Algorithm 3). ------------
-    if not skip_phase2:
-        interval = params.phase2_interval()
-        centers = [
-            v
-            for v in sorted(remaining)
-            if rngs[n + v].random()
-            < params.phase2_probability(max(1, int(estimates[v])))
-        ]
-        _apply_carves(
-            graph,
-            centers,
-            interval,
-            remaining,
-            deleted,
-            ledger,
-            "phase2",
-            weights,
-            trace,
-            mpc_run,
+    def carve(seeds, interval, snapshot):
+        return grow_and_carve(
+            graph, seeds, interval, snapshot, weights=weights, mpc=mpc_run
         )
+
+    for label, interval, stream, probability in rounds:
+        with _obs.span("ldd.sample_centers"):
+            centers = [
+                {v}
+                for v in sorted(remaining)
+                if rngs[stream + v].random()
+                < probability(max(1, int(estimates[v])))
+            ]
+        with _obs.span(f"ldd.carve.{label}"):
+            outcome = carve_round(
+                graph, centers, interval, remaining, deleted, ledger, label, carve
+            )
+        if trace is not None:
+            trace.centers_per_iteration.append(outcome.executed)
+            trace.deleted_per_iteration.append(len(outcome.deleted))
+            trace.removed_per_iteration.append(len(outcome.removed))
+        # The same totals flow into persisted rows whenever a collector
+        # is installed, trace or not.
+        _obs.count("ldd.carve.executed", outcome.executed)
+        _obs.count("ldd.carve.deleted", len(outcome.deleted))
+        _obs.count("ldd.carve.removed", len(outcome.removed))
     if trace is not None:
         trace.residual_after_phase2 = len(remaining)
     _obs.gauge("ldd.residual_after_phase2", len(remaining))
@@ -252,79 +253,14 @@ def low_diameter_decomposition(
     ``execution_backend`` and ``mpc`` are forwarded to
     :func:`chang_li_ldd`.
     """
-    ntilde = ntilde if ntilde is not None else max(graph.n, 2)
-    if profile == "paper":
-        params = LddParams.paper(eps, ntilde)
-    elif profile == "practical":
-        params = LddParams.practical(eps, ntilde, **profile_kwargs)
-    else:
-        raise ValueError(f"unknown profile {profile!r}")
     return chang_li_ldd(
         graph,
-        params,
+        profile_params(
+            LddParams, profile, eps, ntilde, graph.n, **profile_kwargs
+        ),
         seed=seed,
         kernel_workers=kernel_workers,
         execution_backend=execution_backend,
         mpc=mpc,
     )
 
-
-def _apply_carves(
-    graph: Graph,
-    centers: List[int],
-    interval: Tuple[int, int],
-    remaining: Set[int],
-    deleted: Set[int],
-    ledger: RoundLedger,
-    label: str,
-    weights: Optional[Sequence[float]],
-    trace: Optional[LddTrace],
-    mpc_run: Optional[MpcRun] = None,
-) -> None:
-    """Run all centers' carves against the same residual snapshot.
-
-    Merge rule (Section 3.1.2): a vertex deleted by any execution is
-    deleted, even if another execution removed it.  The shared snapshot
-    is converted to a boolean mask once and reused by every carve's
-    BFS.  With ``mpc_run``, every carve's gather runs
-    as metered partitioned BFS rounds instead of the single-box kernel.
-    """
-    removed_now: Set[int] = set()
-    deleted_now: Set[int] = set()
-    max_depth = 0
-    executed = 0
-    with _obs.span(f"ldd.carve.{label}"):
-        snapshot = remaining
-        if centers:
-            snapshot = graph.csr().residual_mask(remaining)
-        for center in centers:
-            if center not in remaining:
-                continue  # carved away by a parallel execution's snapshot merge
-            executed += 1
-            outcome = grow_and_carve(
-                graph,
-                [center],
-                interval,
-                snapshot,
-                weights=weights,
-                mpc=mpc_run,
-            )
-            removed_now |= outcome.removed
-            deleted_now |= outcome.deleted
-            max_depth = max(max_depth, outcome.depth)
-    removed_now -= deleted_now  # deleted wins
-    deleted |= deleted_now
-    remaining -= removed_now
-    remaining -= deleted_now
-    ledger.charge(label, 2 * interval[1], 2 * max_depth)
-    if trace is not None:
-        # Carves actually executed — not the sampled-center count, which
-        # would overstate work when a center was already carved away.
-        trace.centers_per_iteration.append(executed)
-        trace.deleted_per_iteration.append(len(deleted_now))
-        trace.removed_per_iteration.append(len(removed_now))
-    # Satellite of the LddTrace diagnostics: the same totals flow into
-    # persisted rows whenever a collector is installed, trace or not.
-    _obs.count("ldd.carve.executed", executed)
-    _obs.count("ldd.carve.deleted", len(deleted_now))
-    _obs.count("ldd.carve.removed", len(removed_now))

@@ -25,17 +25,21 @@ local solve (proof of Theorem 1.2).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Set
 
 from repro.artifacts.cache import SolveCache
-from repro.core.carve import grow_and_carve_packing
-from repro.core.params import PackingParams
+from repro.core.carve import (
+    carve_round,
+    grow_and_carve_packing,
+    prepare_clusters,
+)
+from repro.core.params import PackingParams, profile_params
 from repro.decomp.elkin_neiman import elkin_neiman_ldd
-from repro.graphs.graph import Graph
 from repro.ilp.exact import solve_packing_exact
 from repro.ilp.instance import PackingInstance
-from repro.local.gather import RoundLedger, gather_ball
+from repro.local.gather import RoundLedger
 from repro.util.rng import SeedLike, spawn_rngs
 from repro.util.validation import require
 
@@ -51,13 +55,6 @@ class PackingResult:
     num_components: int
     num_prep_clusters: int
     centers_per_iteration: List[int] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class _PrepCluster:
-    vertices: frozenset
-    weight_self: float
-    weight_neighborhood: float
 
 
 def chang_li_packing(
@@ -83,61 +80,52 @@ def chang_li_packing(
     phase_rng = rng_streams[params.prep_count]
     phase3_rng = rng_streams[params.prep_count + 1]
 
-    clusters = _prepare_clusters(
-        instance, graph, params, prep_rngs, ledger, cache
+    clusters = prepare_clusters(
+        graph,
+        [
+            elkin_neiman_ldd(
+                graph, params.prep_lambda, ntilde=params.ntilde, seed=rng
+            )
+            for rng in prep_rngs
+        ],
+        params.cluster_radius,
+        lambda subset: solve_packing_exact(
+            instance, subset=subset, cache=cache
+        ).weight,
+        ledger,
+        "prep-ldd",
     )
 
     remaining: Set[int] = set(range(n))
     deleted: Set[int] = set()
     centers_per_iteration: List[int] = []
 
+    def carve(seeds, interval, snapshot):
+        return grow_and_carve_packing(
+            instance, graph, seeds, interval, snapshot, cache=cache
+        )
+
     cluster_rngs = spawn_rngs(phase_rng, max(1, len(clusters)))
-    for i in range(1, params.t + 1):
-        interval = params.interval(i)
-        center_ids = [
-            idx
+    rounds = [
+        (
+            f"phase1-iter{i}",
+            params.interval(i),
+            functools.partial(params.sampling_probability, i),
+        )
+        for i in range(1, params.t + 1)
+    ]
+    rounds.append(("phase2", params.phase2_interval(), params.phase2_probability))
+    for label, interval, probability in rounds:
+        seed_sets = [
+            cluster.vertices
             for idx, cluster in enumerate(clusters)
             if cluster_rngs[idx].random()
-            < params.sampling_probability(
-                i, cluster.weight_self, cluster.weight_neighborhood
-            )
+            < probability(cluster.weight_self, cluster.weight_neighborhood)
         ]
-        executed = _apply_packing_carves(
-            instance,
-            graph,
-            clusters,
-            center_ids,
-            interval,
-            remaining,
-            deleted,
-            ledger,
-            f"phase1-iter{i}",
-            cache,
+        outcome = carve_round(
+            graph, seed_sets, interval, remaining, deleted, ledger, label, carve
         )
-        centers_per_iteration.append(executed)
-
-    interval = params.phase2_interval()
-    center_ids = [
-        idx
-        for idx, cluster in enumerate(clusters)
-        if cluster_rngs[idx].random()
-        < params.phase2_probability(
-            cluster.weight_self, cluster.weight_neighborhood
-        )
-    ]
-    executed = _apply_packing_carves(
-        instance,
-        graph,
-        clusters,
-        center_ids,
-        interval,
-        remaining,
-        deleted,
-        ledger,
-        "phase2",
-        cache,
-    )
-    centers_per_iteration.append(executed)
+        centers_per_iteration.append(outcome.executed)
 
     if remaining:
         en = elkin_neiman_ldd(
@@ -190,96 +178,8 @@ def solve_packing(
     **profile_kwargs,
 ) -> PackingResult:
     """Public entry point: profile construction + :func:`chang_li_packing`."""
-    ntilde = ntilde if ntilde is not None else max(instance.n, 2)
-    if profile == "paper":
-        params = PackingParams.paper(eps, ntilde)
-    elif profile == "practical":
-        params = PackingParams.practical(eps, ntilde, **profile_kwargs)
-    else:
-        raise ValueError(f"unknown profile {profile!r}")
+    params = profile_params(
+        PackingParams, profile, eps, ntilde, instance.n, **profile_kwargs
+    )
     return chang_li_packing(instance, params, seed=seed, cache=cache)
 
-
-def _prepare_clusters(
-    instance: PackingInstance,
-    graph: Graph,
-    params: PackingParams,
-    prep_rngs: Sequence,
-    ledger: RoundLedger,
-    cache: SolveCache,
-) -> List[_PrepCluster]:
-    """Preparation step (Section 4.1.1): clusters and their estimates."""
-    prep_ledgers = []
-    raw_clusters: List[Set[int]] = []
-    for rng in prep_rngs:
-        en = elkin_neiman_ldd(
-            graph, params.prep_lambda, ntilde=params.ntilde, seed=rng
-        )
-        raw_clusters.extend(en.clusters)
-        prep_ledgers.append(en.ledger)
-    ledger.merge_parallel(prep_ledgers, "prep-ldd")
-    clusters: List[_PrepCluster] = []
-    max_depth = 0
-    for cluster in raw_clusters:
-        gathered = gather_ball(graph, cluster, params.cluster_radius)
-        neighborhood = gathered.ball
-        max_depth = max(max_depth, gathered.depth_reached)
-        w_self = solve_packing_exact(instance, subset=cluster, cache=cache).weight
-        w_neigh = solve_packing_exact(
-            instance, subset=neighborhood, cache=cache
-        ).weight
-        clusters.append(
-            _PrepCluster(
-                vertices=frozenset(cluster),
-                weight_self=w_self,
-                weight_neighborhood=w_neigh,
-            )
-        )
-    ledger.charge("prep-estimates", 2 * params.cluster_radius, 2 * max_depth)
-    return clusters
-
-
-def _apply_packing_carves(
-    instance: PackingInstance,
-    graph: Graph,
-    clusters: Sequence[_PrepCluster],
-    center_ids: Sequence[int],
-    interval: Tuple[int, int],
-    remaining: Set[int],
-    deleted: Set[int],
-    ledger: RoundLedger,
-    label: str,
-    cache: SolveCache,
-) -> int:
-    """All sampled clusters carve against the same residual snapshot.
-
-    Returns the number of carves actually executed (clusters whose
-    seeds were already carved away are skipped and not counted —
-    keeps the E12 ablation's carve-center column accurate).  The
-    shared snapshot is converted to a boolean mask once and reused by
-    every carve's BFS.
-    """
-    removed_now: Set[int] = set()
-    deleted_now: Set[int] = set()
-    max_depth = 0
-    executed = 0
-    snapshot = remaining
-    if center_ids:
-        snapshot = graph.csr().residual_mask(remaining)
-    for idx in center_ids:
-        seeds = set(clusters[idx].vertices) & remaining
-        if not seeds:
-            continue
-        executed += 1
-        outcome = grow_and_carve_packing(
-            instance, graph, seeds, interval, snapshot, cache=cache
-        )
-        removed_now |= outcome.removed
-        deleted_now |= outcome.deleted
-        max_depth = max(max_depth, outcome.depth)
-    removed_now -= deleted_now  # deleted wins (Section 4.1.3)
-    deleted |= deleted_now
-    remaining -= removed_now
-    remaining -= deleted_now
-    ledger.charge(label, 2 * interval[1], 2 * max_depth)
-    return executed

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from repro.util.validation import check_fraction, require
 
@@ -45,6 +45,23 @@ def _covering_iterations(eps: float, ntilde: int, slack: int) -> int:
             + slack
         ),
     )
+
+
+def profile_params(
+    cls, profile: str, eps: float, ntilde: Optional[int], n: int, **kw
+):
+    """``cls.paper(eps, ñ)`` or ``cls.practical(eps, ñ, **kw)`` by name.
+
+    ``ntilde`` defaults to ``max(n, 2)``; ``kw`` only reaches the
+    practical profile.  Any other ``profile`` raises ``ValueError``.
+    """
+    require(
+        profile in ("paper", "practical"), f"unknown profile {profile!r}"
+    )
+    ntilde = ntilde if ntilde is not None else max(n, 2)
+    if profile == "practical":
+        return cls.practical(eps, ntilde, **kw)
+    return cls.paper(eps, ntilde)
 
 
 @dataclass(frozen=True)

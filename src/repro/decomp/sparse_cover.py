@@ -41,19 +41,26 @@ def _within_one_members(
     at distance ``d`` is ``d`` successive ``- 1.0`` float decrements of
     the shift (not ``shift - d``, which rounds differently), so the
     within-1 comparisons agree bit for bit with
-    :func:`~repro.decomp.shifts.shifted_flood`.  Materializes the
-    ``|within| x n`` distance matrix — fine at covering-instance scale,
-    not meant for the 10^5-vertex regime.
+    :func:`~repro.decomp.shifts.shifted_flood`.  Those values come from
+    one per-source decrement table.  A source ``d`` hops from ``v``
+    qualifies only if ``shift_u − d ≥ best_v − 1 ≥ shift_v − 1``, so
+    only ``d ≤ max shift − min shift + 1`` matters: the BFS and the
+    table stop at ``cap = ⌊max shift − min shift⌋ + 2``.  Materializes
+    the ``|within| x n`` distance matrix — fine at covering-instance
+    scale, not meant for the 10^5-vertex regime.
     """
     src = np.fromiter(vertices, dtype=np.int64)
     if src.size == 0:
         return {}
-    dist = graph.csr().distances_from(src, within=within)[:, src]
     shift_arr = np.asarray([shifts[int(u)] for u in src], dtype=np.float64)
-    value = np.where(dist >= 0, shift_arr[:, None], -np.inf)
-    top = int(dist.max()) if dist.size else 0
-    for hop in range(1, top + 1):
-        value[dist >= hop] -= 1.0
+    cap = int(shift_arr.max() - shift_arr.min()) + 2
+    dist = graph.csr().distances_from(src, radius=cap, within=within)[:, src]
+    decrements = np.empty((src.size, cap + 1), dtype=np.float64)
+    decrements[:, 0] = shift_arr
+    for hop in range(1, cap + 1):
+        decrements[:, hop] = decrements[:, hop - 1] - 1.0
+    value = np.take_along_axis(decrements, np.maximum(dist, 0), axis=1)
+    value[dist < 0] = -np.inf
     best = value.max(axis=0)
     qualify = value >= best[None, :] - 1.0
     members: Dict[int, Set[int]] = {}

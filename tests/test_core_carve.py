@@ -3,6 +3,9 @@
 import numpy as np
 
 from repro.core.carve import (
+    CarveOutcome,
+    RoundOutcome,
+    carve_round,
     grow_and_carve,
     grow_and_carve_covering,
     grow_and_carve_packing,
@@ -12,6 +15,7 @@ from repro.ilp import (
     max_independent_set_ilp,
     min_dominating_set_ilp,
 )
+from repro.local.gather import PhaseCharge, RoundLedger
 
 
 class TestGrowAndCarve:
@@ -139,3 +143,54 @@ class TestGrowAndCarveCovering:
         )
         assert outcome.removed == set(range(5))
         assert outcome.fixed_ones == set()
+
+
+class TestCarveRound:
+    """The merge rule every driver's iteration goes through."""
+
+    def test_merge_rule(self):
+        g = path_graph(10)
+        remaining = set(range(9))
+        deleted = {9}
+        outcomes = {
+            0: CarveOutcome({0, 1, 2}, {3}, {1}, cut_position=3, depth=3),
+            5: CarveOutcome({3, 4, 5, 6}, {7}, {4, 5}, cut_position=2, depth=5),
+        }
+        calls = []
+
+        def carve(seeds, interval, snapshot):
+            calls.append((seeds, interval, snapshot))
+            return outcomes[min(seeds)]
+
+        ledger = RoundLedger()
+        out = carve_round(
+            g, [{0}, {5, 9}, {9}], (2, 6), remaining, deleted, ledger, "r", carve
+        )
+        # Seeds are cut to the residual; a center left empty is skipped.
+        assert [c[0] for c in calls] == [{0}, {5}]
+        assert out.executed == 2
+        # One residual mask, taken before the merge, shared by both carves.
+        assert calls[0][2] is calls[1][2]
+        assert calls[0][2].tolist() == [v < 9 for v in range(10)]
+        # Deleted wins: 3 is carve 0's deletion and carve 5's removal.
+        assert out.deleted == {3, 7}
+        assert out.removed == {0, 1, 2, 4, 5, 6}
+        assert out.fixed_ones == {1, 4, 5}
+        # Residual and deletions are updated in place.
+        assert deleted == {3, 7, 9}
+        assert remaining == {8}
+        # Charged once: 2b nominal, twice the deepest gather effective.
+        assert ledger.charges == [PhaseCharge("r", 12, 10)]
+
+    def test_round_without_centers_is_still_charged(self):
+        def carve(seeds, interval, snapshot):
+            raise AssertionError("no center to carve")
+
+        remaining = {0, 1, 2}
+        ledger = RoundLedger()
+        out = carve_round(
+            path_graph(3), [], (1, 3), remaining, set(), ledger, "idle", carve
+        )
+        assert out == RoundOutcome(set(), set(), set(), executed=0)
+        assert remaining == {0, 1, 2}
+        assert ledger.charges == [PhaseCharge("idle", 6, 0)]

@@ -137,25 +137,26 @@ class TestTraceCountsExecutedCarves:
     def test_stale_centers_not_counted(self):
         """Regression: ``centers_per_iteration`` used to record the
         sampled-center count even when a center had already been carved
-        away and its carve skipped (E12 reports overstated work)."""
-        from repro.core.ldd import _apply_carves
+        away and its carve skipped (E12 reports overstated work).  The
+        count is the carving round's ``executed``."""
+        from repro.core.carve import carve_round, grow_and_carve
         from repro.local.gather import RoundLedger
 
         g = path_graph(8)
         remaining = {0, 1, 2, 3, 4}  # 5..7 already carved away
-        trace = LddTrace()
-        _apply_carves(
+        outcome = carve_round(
             g,
-            [0, 6, 7],  # one live center, two stale ones
+            [{0}, {6}, {7}],  # one live center, two stale ones
             (1, 2),
             remaining,
             set(),
             RoundLedger(),
             "test",
-            None,
-            trace,
+            lambda seeds, interval, snapshot: grow_and_carve(
+                g, seeds, interval, snapshot
+            ),
         )
-        assert trace.centers_per_iteration == [1]
+        assert outcome.executed == 1
 
     def test_executed_counts_cover_every_iteration(self):
         g = cycle_graph(120)

@@ -193,24 +193,25 @@ class TestFloodReference:
         from repro.decomp import sample_shifts, shifted_flood, within_one_sources
 
         rng = np.random.default_rng(100 + seed)
-        inst = min_dominating_set_ilp(erdos_renyi_connected(26, 0.12, rng))
-        hg = inst.hypergraph()
-        primal = hg.primal_graph()
-        n = primal.n
-        shifts = sample_shifts(n, lam, max(n, 2), seed=seed)
-        within_options = [None, set(range(0, n, 2)), set(range(n // 2))]
-        for within in within_options:
-            records = shifted_flood(primal, shifts, keep=None, within=within)
-            oracle = brute_force_records(primal, shifts, within)
-            members, brute = {}, {}
-            for v in sorted(within) if within is not None else range(n):
-                for rec in within_one_sources(records[v]):
-                    members.setdefault(rec.source, set()).add(v)
-                top = oracle[v][0][0]
-                for value, source, _ in oracle[v]:
-                    if value >= top - 1.0:
-                        brute.setdefault(source, set()).add(v)
-            assert members == brute, (seed, lam, within)
-            cover = sparse_cover(hg, lam, shifts=shifts, within=within)
-            assert cover.centers == sorted(members), (seed, lam, within)
-            assert cover.clusters == [members[c] for c in sorted(members)]
+        # The path's primal diameter (20) runs past the CSR membership's
+        # hop cap ⌊max − min shift⌋ + 2 at λ ≥ 0.2.
+        for g in (erdos_renyi_connected(26, 0.12, rng), path_graph(40)):
+            hg = min_dominating_set_ilp(g).hypergraph()
+            primal = hg.primal_graph()
+            n = primal.n
+            shifts = sample_shifts(n, lam, max(n, 2), seed=seed)
+            for within in [None, set(range(0, n, 2)), set(range(n // 2))]:
+                records = shifted_flood(primal, shifts, keep=None, within=within)
+                oracle = brute_force_records(primal, shifts, within)
+                members, brute = {}, {}
+                for v in sorted(within) if within is not None else range(n):
+                    for rec in within_one_sources(records[v]):
+                        members.setdefault(rec.source, set()).add(v)
+                    top = oracle[v][0][0]
+                    for value, source, _ in oracle[v]:
+                        if value >= top - 1.0:
+                            brute.setdefault(source, set()).add(v)
+                assert members == brute, (seed, lam, within)
+                cover = sparse_cover(hg, lam, shifts=shifts, within=within)
+                assert cover.centers == sorted(members), (seed, lam, within)
+                assert cover.clusters == [members[c] for c in sorted(members)]
