@@ -158,17 +158,15 @@ class ArtifactStore:
         return Artifact(digest=digest, meta=meta, arrays=dict(contiguous))
 
     # -- read ----------------------------------------------------------
-    def load(
-        self, digest: str, mmap: bool = True, verify: bool = True
-    ) -> Optional[Artifact]:
+    def load(self, digest: str, mmap: bool = True) -> Optional[Artifact]:
         """Load an artifact, or ``None`` when absent or unhealthy.
 
         ``mmap=True`` maps the arrays read-only in place (zero-copy
-        reload); ``mmap=False`` reads them into process memory.  With
-        ``verify`` (default) the payload checksum is recomputed — a
-        mismatch, short file, bad magic or unparseable header
-        quarantines the file and returns ``None`` so the caller
-        rebuilds instead of serving garbage.
+        reload); ``mmap=False`` reads them into process memory.  The
+        payload checksum is always recomputed: a mismatch, short file,
+        bad magic or unparseable header quarantines the file and
+        returns ``None`` so the caller rebuilds instead of serving
+        garbage.
         """
         path = self.path_for(digest)
         try:
@@ -202,12 +200,11 @@ class ArtifactStore:
                     offset=payload_start + int(desc["offset"]),
                     shape=tuple(desc["shape"]),
                 )
-            if verify:
-                check = hashlib.sha256()
-                for arr in arrays.values():
-                    check.update(arr.tobytes())
-                if check.hexdigest() != header["payload_sha256"]:
-                    raise ValueError("payload checksum mismatch")
+            check = hashlib.sha256()
+            for arr in arrays.values():
+                check.update(arr.tobytes())
+            if check.hexdigest() != header["payload_sha256"]:
+                raise ValueError("payload checksum mismatch")
             if not mmap:
                 arrays = {
                     name: np.array(arr) for name, arr in arrays.items()

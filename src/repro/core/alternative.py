@@ -47,16 +47,14 @@ def alternative_packing(
     eps: float,
     ntilde: Optional[int] = None,
     seed: SeedLike = None,
-    ensemble_scale: float = 1.0,
     ensemble_cap: int = 48,
     cache: Optional[SolveCache] = None,
 ) -> AlternativePackingResult:
     """Run the alternative approach end to end.
 
-    ``ensemble_scale`` scales the ``ε⁻² log ñ`` ensemble size
-    (``ensemble_cap`` bounds it for laptop-scale runs — the *shape* of
-    the argument only needs enough repetitions for the average to
-    stabilize).
+    The ensemble holds ``ε⁻² log ñ`` members (``ensemble_cap`` bounds
+    it for laptop-scale runs — the *shape* of the argument only needs
+    enough repetitions for the average to stabilize).
     """
     check_fraction("eps", eps)
     cache = cache if cache is not None else SolveCache()
@@ -65,7 +63,7 @@ def alternative_packing(
     ntilde = ntilde if ntilde is not None else max(n, 2)
     count = min(
         ensemble_cap,
-        max(4, math.ceil(ensemble_scale * math.log(ntilde) / eps**2)),
+        max(4, math.ceil(math.log(ntilde) / eps**2)),
     )
     rngs = spawn_rngs(seed, count + 1)
     ledger = RoundLedger()

@@ -31,7 +31,11 @@ from repro.decomp.types import Decomposition
 from repro.graphs.graph import Graph
 from repro.local.gather import RoundLedger
 from repro.util.rng import SeedLike, spawn_rngs
-from repro.util.validation import check_fraction, require
+from repro.util.validation import check_fraction
+
+#: The inner half-decomposition's Elkin–Neiman ``λ``: per-vertex
+#: deletion probability ``1 − e^{−λ} ≈ 0.30 < 1/2``.
+_HALF_LAMBDA = 0.35
 
 
 def blackbox_ldd(
@@ -39,24 +43,19 @@ def blackbox_ldd(
     eps: float,
     ntilde: Optional[int] = None,
     seed: SeedLike = None,
-    half_lambda: float = 0.35,
-    hops_scale: float = 1.0,
 ) -> Decomposition:
     """Run the blackbox construction.
 
-    ``half_lambda`` parametrizes the inner half-decomposition
-    (per-vertex deletion probability ``1 − e^{−λ} < 1/2``);
-    ``hops_scale`` scales the carving length.  The carving window holds
-    ``Θ(log(1/ε)/ε)`` layers so the per-repetition layer deletions sum
-    to O(ε n) across the ``log(1/ε) + O(1)`` repetitions, and two extra
-    repetitions push the final leftover below ``ε n / 4``.
+    The carving window holds ``Θ(log(1/ε)/ε)`` layers so the
+    per-repetition layer deletions sum to O(ε n) across the
+    ``log(1/ε) + O(1)`` repetitions, and two extra repetitions push the
+    final leftover below ``ε n / 4``.
     """
     check_fraction("eps", eps)
-    require(0 < half_lambda < math.log(2.0), "need deletion prob < 1/2")
     n = graph.n
     ntilde = ntilde if ntilde is not None else max(n, 2)
     log_factor = max(1.0, math.log2(1.0 / eps))
-    k = max(4, math.ceil(hops_scale * log_factor / eps))
+    k = max(4, math.ceil(log_factor / eps))
     repetitions = max(1, math.ceil(math.log2(1.0 / eps))) + 2
     rngs = spawn_rngs(seed, repetitions)
     ledger = RoundLedger()
@@ -73,9 +72,9 @@ def blackbox_ldd(
         # Step 1: half-decomposition on the k-th power of G[live].
         sub, mapping = graph.induced_subgraph(live)
         inverse = {i: v for v, i in mapping.items()}
-        power = sub.power(k)
+        power = sub.csr().power(k)
         half = elkin_neiman_ldd(
-            power, half_lambda, ntilde=ntilde, seed=rngs[rep]
+            power, _HALF_LAMBDA, ntilde=ntilde, seed=rngs[rep]
         )
         ledger.charge(
             f"rep{rep}-half-ldd",
@@ -101,7 +100,9 @@ def blackbox_ldd(
     deleted |= live
     clusters = [
         set(c)
-        for c in graph.connected_components(within=set(range(n)) - deleted)
+        for c in graph.csr().connected_components(
+            within=set(range(n)) - deleted
+        )
     ]
     return Decomposition(
         clusters=clusters,

@@ -36,7 +36,7 @@ from repro.decomp.elkin_neiman import elkin_neiman_ldd
 from repro.decomp.types import Decomposition
 from repro.graphs.graph import Graph
 from repro.local.gather import RoundLedger
-from repro.mpc import MpcConfig, MpcRun, check_execution_backend
+from repro.mpc import MpcConfig, MpcRun
 from repro.util.rng import LazyRngStreams, SeedLike
 from repro.util.validation import require
 
@@ -59,8 +59,6 @@ def chang_li_ldd(
     weights: Optional[Sequence[float]] = None,
     skip_phase2: bool = False,
     trace: Optional[LddTrace] = None,
-    kernel_workers: Optional[int] = None,
-    execution_backend: str = "local",
     mpc=None,
 ) -> Decomposition:
     """Run the Theorem 1.1 decomposition with the given parameters.
@@ -83,40 +81,29 @@ def chang_li_ldd(
     BFS rounds, and only the sources left open (unsaturated balls,
     or every source of an expander whose depth will not certify) go
     through the packed ``all_ball_sizes`` sweep.  Sizes and depth are
-    exactly the full sweep's.  Weighted estimates and
-    ``execution_backend="mpc"`` sweep every source.
+    exactly the full sweep's.  Weighted estimates and partitioned
+    runs sweep every source.  The kernels shard their source chunks
+    over ``REPRO_KERNEL_WORKERS`` processes (default serial); the
+    decomposition is bit-identical at any worker count.
 
-    ``kernel_workers`` shards the ``n_v`` sweep's
-    source chunks over worker processes via
-    :mod:`repro.graphs.parallel`; the decomposition is bit-identical
-    at any worker count.  ``None`` resolves through
-    ``REPRO_KERNEL_WORKERS`` (default serial).
-
-    ``execution_backend`` selects the third parallelism level:
-    ``"local"`` (default) keeps the whole graph on one box, ``"mpc"``
-    runs the BFS-shaped steps (the ``n_v`` estimation and every carve
-    gather) over the partitioned ranks of :mod:`repro.mpc`, metering
-    per-round communication — partitions are bit-identical to
-    ``"local"`` at any rank count.  ``mpc`` is either an
-    :class:`~repro.mpc.MpcConfig` (a run is started on ``graph.csr()``)
-    or an already-started :class:`~repro.mpc.MpcRun` on the same graph
-    (so the caller can read ``run.meter`` afterwards); ``None`` means
-    ``MpcConfig()`` (a single rank).  Phase 3 (Elkin–Neiman and the
-    final components) stays coordinator-local — see the
-    execution-backend matrix in ``src/repro/exp/README.md``.
+    ``mpc`` switches to partitioned execution: the BFS-shaped steps
+    (the ``n_v`` estimation and every carve gather) run over the ranks
+    of :mod:`repro.mpc`, metering per-round communication — partitions
+    are bit-identical to the single-box run at any rank count.  Pass
+    an :class:`~repro.mpc.MpcConfig` (a run is started on
+    ``graph.csr()``) or an already-started :class:`~repro.mpc.MpcRun`
+    on the same graph (so the caller can read ``run.meter``
+    afterwards); ``None`` (default) keeps the whole graph on one box.
+    Phase 3 (Elkin–Neiman and the final components) stays
+    coordinator-local — see ``src/repro/exp/README.md``.
     """
-    check_execution_backend(execution_backend)
     n = graph.n
     require(
         weights is None or len(weights) == n, "need one weight per vertex"
     )
-    mpc_run: Optional[MpcRun] = None
-    if execution_backend == "mpc":
-        config = MpcConfig() if mpc is None else mpc
-        if isinstance(config, MpcConfig):
-            mpc_run = config.start(graph.csr()) if n else None
-        else:
-            mpc_run = config
+    mpc_run: Optional[MpcRun] = mpc
+    if isinstance(mpc, MpcConfig):
+        mpc_run = mpc.start(graph.csr()) if n else None
     ledger = RoundLedger()
     # Per-vertex private streams, derived lazily: stream v is
     # bit-identical to the historical eager ``spawn_rngs(seed, 2n+4)[v]``
@@ -142,13 +129,11 @@ def chang_li_ldd(
         elif n:
             if weights is None:
                 sizes, max_depth = graph.csr().ball_size_estimate(
-                    params.estimate_radius, kernel_workers=kernel_workers
+                    params.estimate_radius
                 )
             else:
                 sizes, depths = graph.csr().all_ball_sizes(
-                    params.estimate_radius,
-                    weights=weights,
-                    kernel_workers=kernel_workers,
+                    params.estimate_radius, weights=weights
                 )
                 max_depth = int(depths.max())
             estimates = {v: float(sizes[v]) for v in range(n)}
@@ -202,8 +187,8 @@ def chang_li_ldd(
     _obs.gauge("ldd.residual_after_phase2", len(remaining))
 
     # -- Phase 3: Elkin–Neiman on the residual graph. --------------
-    # Coordinator-local on either execution backend (the EN flood
-    # and the components are not metered MPC rounds; see README).
+    # Coordinator-local under ``mpc`` too (the EN flood and the
+    # components are not metered MPC rounds; see README).
     if remaining:
         with _obs.span("ldd.phase3_en"):
             en = elkin_neiman_ldd(
@@ -240,18 +225,13 @@ def low_diameter_decomposition(
     ntilde: Optional[int] = None,
     seed: SeedLike = None,
     profile: str = "practical",
-    kernel_workers: Optional[int] = None,
-    execution_backend: str = "local",
-    mpc=None,
     **profile_kwargs,
 ) -> Decomposition:
     """Convenience entry point: build params, run :func:`chang_li_ldd`.
 
     ``profile`` selects :meth:`LddParams.paper` or
     :meth:`LddParams.practical` (default; extra keyword arguments are
-    forwarded to the profile constructor).  ``kernel_workers``,
-    ``execution_backend`` and ``mpc`` are forwarded to
-    :func:`chang_li_ldd`.
+    forwarded to the profile constructor).
     """
     return chang_li_ldd(
         graph,
@@ -259,8 +239,5 @@ def low_diameter_decomposition(
             LddParams, profile, eps, ntilde, graph.n, **profile_kwargs
         ),
         seed=seed,
-        kernel_workers=kernel_workers,
-        execution_backend=execution_backend,
-        mpc=mpc,
     )
 

@@ -72,7 +72,6 @@ class LddParams:
     ntilde: int
     t: int
     interval_length: int  # R
-    sampling_log_factor: float  # multiplier on ln ñ inside p_{v,i}
     phase2_boost: float  # extra ln(20/ε) factor in Phase 2 sampling
     phase3_lambda: float  # EN parameter for Phase 3 (paper: ε/10)
     estimate_radius: int  # radius for the n_v estimate (paper: 4tR)
@@ -88,7 +87,6 @@ class LddParams:
             ntilde=ntilde,
             t=t,
             interval_length=r,
-            sampling_log_factor=1.0,
             phase2_boost=math.log(20.0 / eps),
             phase3_lambda=eps / 10.0,
             estimate_radius=4 * t * r,
@@ -101,7 +99,6 @@ class LddParams:
         ntilde: int,
         r_scale: float = 1.0,
         t_cap: int = 4,
-        sampling_log_factor: float = 1.0,
     ) -> "LddParams":
         """Scaled-down constants preserving all structural relations.
 
@@ -119,7 +116,6 @@ class LddParams:
             ntilde=ntilde,
             t=t,
             interval_length=r,
-            sampling_log_factor=sampling_log_factor,
             phase2_boost=math.log(20.0 / eps),
             phase3_lambda=eps / 10.0,
             estimate_radius=4 * t * r,
@@ -145,7 +141,7 @@ class LddParams:
     def sampling_probability(self, i: int, n_v: int) -> float:
         """``p_{v,i} = 2^i · ln ñ / n_v`` (capped at 1)."""
         require(n_v >= 1, f"n_v must be >= 1, got {n_v}")
-        p = (2.0 ** i) * self.sampling_log_factor * math.log(self.ntilde) / n_v
+        p = (2.0 ** i) * math.log(self.ntilde) / n_v
         return min(1.0, p)
 
     def phase2_probability(self, n_v: int) -> float:
@@ -153,7 +149,6 @@ class LddParams:
         require(n_v >= 1, f"n_v must be >= 1, got {n_v}")
         p = (
             (2.0 ** (self.t + 1))
-            * self.sampling_log_factor
             * math.log(self.ntilde)
             * self.phase2_boost
             / n_v

@@ -36,7 +36,7 @@ deterministic churn batches (the ``ldd-churn`` scenario's workload).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Set, Tuple
 
 import numpy as np
 
@@ -176,7 +176,6 @@ def repair_decomposition(
     dirty_edges: Iterable[Edge],
     params: LddParams,
     seed=None,
-    kernel_workers: Optional[int] = None,
     validate: bool = False,
 ) -> RepairResult:
     """Repair ``decomposition`` after churn instead of rebuilding.
@@ -247,12 +246,7 @@ def repair_decomposition(
         sub, mapping = graph.induced_subgraph(region)
         inverse = {i: v for v, i in mapping.items()}
     with _obs.span("repair.recarve"):
-        sub_dec = chang_li_ldd(
-            sub,
-            params,
-            seed=seed,
-            kernel_workers=kernel_workers,
-        )
+        sub_dec = chang_li_ldd(sub, params, seed=seed)
 
     clusters = [set(decomposition.clusters[i]) for i in clean]
     clusters.extend(

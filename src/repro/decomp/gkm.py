@@ -70,13 +70,11 @@ def gkm_solve_packing(
     seed: SeedLike = None,
     scale: float = 1.0,
     cache: Optional[SolveCache] = None,
-    kernel_workers: Optional[int] = None,
 ) -> GkmResult:
     """(1−ε)-approximate packing via network decomposition (GKM17).
 
     The ``G^{2k}`` power graph is built by the batched CSR reachability
-    kernel; ``kernel_workers`` shards its source chunks over worker
-    processes (identical output at any worker count).
+    kernel.
     """
     check_fraction("eps", eps)
     graph = instance.hypergraph().primal_graph()
@@ -84,9 +82,7 @@ def gkm_solve_packing(
     ntilde = ntilde if ntilde is not None else max(n, 2)
     k = _carving_radius(eps, ntilde, scale)
     ledger = RoundLedger()
-    nd = _power_graph_decomposition(
-        graph, k, ntilde, seed, ledger, kernel_workers
-    )
+    nd = _power_graph_decomposition(graph, k, ntilde, seed, ledger)
     remaining: Set[int] = set(range(n))
     chosen: Set[int] = set()
     carves = 0
@@ -163,7 +159,6 @@ def gkm_solve_covering(
     seed: SeedLike = None,
     scale: float = 1.0,
     cache: Optional[SolveCache] = None,
-    kernel_workers: Optional[int] = None,
 ) -> GkmResult:
     """(1+ε)-style covering via network decomposition (ND-based analog).
 
@@ -183,9 +178,7 @@ def gkm_solve_covering(
     # Window of ~2/eps layer pairs so the fixed boundary costs O(eps).
     k = max(4, math.ceil(2.0 * scale / eps))
     ledger = RoundLedger()
-    nd = _power_graph_decomposition(
-        graph, k, ntilde, seed, ledger, kernel_workers
-    )
+    nd = _power_graph_decomposition(graph, k, ntilde, seed, ledger)
     remaining: Set[int] = set(range(n))
     fixed_ones: Set[int] = set()
     zones: List[Set[int]] = []
@@ -334,20 +327,14 @@ def _power_graph_decomposition(
     ntilde: int,
     seed: SeedLike,
     ledger: RoundLedger,
-    kernel_workers: Optional[int] = None,
 ) -> NetworkDecomposition:
     """LS decomposition of ``G^{2k}``; charges ND rounds at base-graph cost.
 
     The ``G^{2k}`` construction is the expensive part at scale; it is
-    one batched CSR reachability sweep, optionally sharded over
-    ``kernel_workers`` processes.
+    one batched CSR reachability sweep.
     """
     power_radius = 2 * k
-    power = (
-        graph.csr().power(power_radius, kernel_workers=kernel_workers)
-        if graph.n
-        else graph
-    )
+    power = graph.csr().power(power_radius) if graph.n else graph
     nd = linial_saks_decomposition(power, ntilde=ntilde, seed=seed)
     # Every LS round on G^{2k} costs 2k rounds of G.
     ledger.charge(

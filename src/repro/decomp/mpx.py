@@ -36,10 +36,6 @@ class MpxDecomposition:
     cut_edges: List[Tuple[int, int]]
     ledger: RoundLedger = field(default_factory=RoundLedger)
 
-    @property
-    def num_cut_edges(self) -> int:
-        return len(self.cut_edges)
-
     def cut_fraction(self, graph: Graph) -> float:
         return len(self.cut_edges) / graph.m if graph.m else 0.0
 

@@ -783,18 +783,10 @@ def _mpc_comm_trial(params: Dict[str, Any], ctx: TrialContext) -> Dict[str, Any]
         graph = build_family(params["family"], np.random.default_rng(graph_seq))
     ldd_params = LddParams.practical(0.2, graph.n)
     with _obs.span("trial.ldd_local"):
-        local = chang_li_ldd(
-            graph, ldd_params, seed=algo_seed, execution_backend="local"
-        )
+        local = chang_li_ldd(graph, ldd_params, seed=algo_seed)
     run = MpcConfig(ranks=params["ranks"]).start(graph.csr())
     with _obs.span("trial.ldd_mpc"):
-        partitioned = chang_li_ldd(
-            graph,
-            ldd_params,
-            seed=algo_seed,
-            execution_backend="mpc",
-            mpc=run,
-        )
+        partitioned = chang_li_ldd(graph, ldd_params, seed=algo_seed, mpc=run)
     totals = run.meter.totals()
     series = run.meter.max_rank_series()
     budget = run.comm_budget_bytes

@@ -18,7 +18,6 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -251,19 +250,15 @@ class Graph:
         ]
         return Graph(len(vs), sub_edges), mapping
 
-    def remove_vertices(self, vertices: Iterable[int]) -> Tuple["Graph", Dict[int, int]]:
-        """Convenience: induced subgraph on the complement of ``vertices``."""
-        drop = set(vertices)
-        return self.induced_subgraph(v for v in range(self.n) if v not in drop)
-
     # ------------------------------------------------------------------
     # Derived graphs
     # ------------------------------------------------------------------
     def power(self, k: int) -> "Graph":
         """The k-th power graph ``G^k``: edge when ``1 <= dist <= k``.
 
-        Used by the GKM17 baseline (network decomposition of ``G^{2k}``)
-        and by the Section 1.6 blackbox construction.
+        The pure-Python reference for
+        :meth:`~repro.graphs.csr.CsrGraph.power`, which the algorithms
+        call.
         """
         require(k >= 1, f"power k must be >= 1, got {k}")
         edges: List[Tuple[int, int]] = []
@@ -428,8 +423,3 @@ class Graph:
         edges = list(self._edges)
         edges.extend((u + self.n, v + self.n) for u, v in other._edges)
         return Graph(self.n + other.n, edges)
-
-    def iter_balls(self, radius: int) -> Iterator[Tuple[int, Set[int]]]:
-        """Yield ``(v, N^radius(v))`` for every vertex."""
-        for v in range(self.n):
-            yield v, self.ball(v, radius)

@@ -8,7 +8,7 @@ summary statistics for low-diameter decompositions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Sequence, Set, Tuple
 
 from repro.graphs.graph import Graph
 
@@ -83,15 +83,12 @@ def decomposition_stats(
     clusters: Sequence[Set[int]],
     deleted: Set[int],
     compute_strong: bool = False,
-    kernel_workers: Optional[int] = None,
 ) -> DecompositionStats:
     """Measure a decomposition against Definition 1.4.
 
     ``compute_strong`` also evaluates strong (induced) diameters, which
     is quadratic-ish and off by default.  Each cluster's diameters come
-    from one batched CSR distance sweep; ``kernel_workers`` shards its
-    distance chunks over worker processes — the values are exact hop
-    counts, identical at any worker count.
+    from one batched CSR distance sweep.
     """
     csr = graph.csr()
     max_weak = 0.0
@@ -99,14 +96,10 @@ def decomposition_stats(
     max_size = 0
     for cluster in clusters:
         max_size = max(max_size, len(cluster))
-        max_weak = max(
-            max_weak, csr.weak_diameter(cluster, kernel_workers=kernel_workers)
-        )
+        max_weak = max(max_weak, csr.weak_diameter(cluster))
         if compute_strong:
             sub, _ = graph.induced_subgraph(cluster)
-            max_strong = max(
-                max_strong, sub.csr().diameter(kernel_workers=kernel_workers)
-            )
+            max_strong = max(max_strong, sub.csr().diameter())
     return DecompositionStats(
         n=graph.n,
         num_clusters=len(clusters),

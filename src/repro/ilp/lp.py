@@ -1,4 +1,4 @@
-"""Fractional LP relaxations and MILP cross-checks via scipy.
+"""Fractional LP relaxations and the exact HiGHS MILP via scipy.
 
 Two uses:
 
@@ -6,8 +6,11 @@ Two uses:
   lower-bounds covering optima, giving approximation-ratio certificates
   on instances too large for the exact 0/1 solvers (this mirrors the
   role of [KMW16], which solves the *fractional* problem distributedly).
-* **Cross-validation** — ``milp_solve`` runs scipy's exact HiGHS MILP on
-  small instances to validate our own branch-and-bound solvers in tests.
+* **Large exact subproblems** — ``milp_solve`` runs scipy's exact
+  HiGHS MILP.  :mod:`repro.ilp.exact` routes every restricted
+  subproblem above its ``MILP_CUTOVER_*`` size to it in production
+  (the bulk of the weighted packing/covering solve time); tests also
+  use it to cross-check the built-in branch-and-bound solvers.
 """
 
 from __future__ import annotations
@@ -71,7 +74,11 @@ def lp_relaxation_value(instance: Instance) -> float:
 
 
 def milp_solve(instance: Instance) -> Tuple[float, Set[int]]:
-    """Exact 0/1 optimum via scipy's HiGHS MILP (test oracle only)."""
+    """Exact 0/1 optimum via scipy's HiGHS MILP.
+
+    The production backend of :mod:`repro.ilp.exact` for subproblems
+    above ``MILP_CUTOVER_*``, and the tests' cross-check oracle.
+    """
     matrix, bounds = _constraint_matrix(instance)
     weights = np.asarray(instance.weights)
     integrality = np.ones(instance.n)

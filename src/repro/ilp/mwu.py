@@ -66,8 +66,8 @@ from repro.util.validation import require
 
 Instance = Union[PackingInstance, CoveringInstance]
 
-#: Largest ``n`` the tiered dispatchers send to the exact tier.  Chosen
-#: to match the ``exact_limit`` defaults of :mod:`repro.ilp.verify`, so
+#: Largest ``n`` the tiered dispatchers send to the exact tier.  The
+#: ``exact_limit`` defaults of :mod:`repro.ilp.verify` read these, so
 #: "tiered" and "verified" agree on where exact optima stop being
 #: computed.
 MWU_PACKING_EXACT_LIMIT = 400

@@ -14,6 +14,7 @@ from typing import Iterable, Optional, Union
 from repro.ilp.exact import solve_covering_exact, solve_packing_exact
 from repro.ilp.instance import CoveringInstance, PackingInstance
 from repro.ilp.lp import lp_relaxation_value
+from repro.ilp.mwu import MWU_COVERING_EXACT_LIMIT, MWU_PACKING_EXACT_LIMIT
 from repro.util.validation import require
 
 Instance = Union[PackingInstance, CoveringInstance]
@@ -45,7 +46,7 @@ def verify_packing(
     instance: PackingInstance,
     chosen: Iterable[int],
     reference: Optional[float] = None,
-    exact_limit: int = 400,
+    exact_limit: int = MWU_PACKING_EXACT_LIMIT,
 ) -> VerifiedSolution:
     """Check feasibility and compute the ratio to the optimum.
 
@@ -74,7 +75,7 @@ def verify_covering(
     instance: CoveringInstance,
     chosen: Iterable[int],
     reference: Optional[float] = None,
-    exact_limit: int = 200,
+    exact_limit: int = MWU_COVERING_EXACT_LIMIT,
 ) -> VerifiedSolution:
     """Check feasibility and compute the ratio to the optimum.
 

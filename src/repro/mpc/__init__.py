@@ -6,7 +6,7 @@ processes, this package shards the **graph itself** across simulated
 ranks with a per-machine memory budget S, runs the LDD's BFS-shaped
 steps as rank-local CSR compute plus explicit inter-rank exchange, and
 meters the communication each round actually moves — the quantity the
-MPC model bounds and the single-box backend cannot measure.
+MPC model bounds and a single-box run cannot measure.
 
 Layering:
 
@@ -27,8 +27,8 @@ Entry point::
     run.meter.round_table()      # per-round comm series
     run.comm_budget_bytes        # the measured S
 
-or thread ``execution_backend="mpc", mpc=run`` through
-:func:`repro.core.ldd.chang_li_ldd` and inspect ``run.meter`` after.
+or pass ``mpc=run`` to :func:`repro.core.ldd.chang_li_ldd` and
+inspect ``run.meter`` after.
 """
 
 from __future__ import annotations
@@ -48,21 +48,6 @@ from repro.mpc.partition import (
     check_layout,
     partition_graph,
 )
-from repro.util.validation import require
-
-#: The execution-backend arms of the LDD drivers: ``"local"`` is the
-#: single-box path (optionally kernel-parallel), ``"mpc"`` the
-#: partitioned path of this package.
-EXECUTION_BACKENDS = ("local", "mpc")
-
-
-def check_execution_backend(execution_backend: str) -> None:
-    """Validate an ``execution_backend=`` argument."""
-    require(
-        execution_backend in EXECUTION_BACKENDS,
-        f"unknown execution_backend {execution_backend!r}; "
-        f"expected one of {EXECUTION_BACKENDS}",
-    )
 
 
 class MpcRun:
@@ -140,7 +125,6 @@ class MpcConfig:
 
 
 __all__ = [
-    "EXECUTION_BACKENDS",
     "LAYOUTS",
     "CommMeter",
     "GraphPartition",
@@ -148,7 +132,6 @@ __all__ = [
     "MpcRun",
     "RankShard",
     "ShardKernel",
-    "check_execution_backend",
     "check_layout",
     "mpc_all_ball_sizes",
     "mpc_bfs_distances",

@@ -21,8 +21,8 @@ Two primitives cover every BFS-shaped step of the LDD pipeline:
   results at **any** rank count.  Weighted sizes are harvested on the
   coordinator from the reassembled full matrix: identical across rank
   counts by construction, but the serial kernel harvests retirement
-  groups, so weighted totals may differ from ``execution_backend=
-  "local"`` in the last ulp.
+  groups, so weighted totals may differ from the single-box run in
+  the last ulp.
 * :func:`mpc_bfs_distances` — the carve-gather BFS
   (:meth:`~repro.graphs.csr.CsrGraph.bfs_distances`).  One round per
   level: each rank expands the frontier vertices it owns, candidate
@@ -34,7 +34,7 @@ Two primitives cover every BFS-shaped step of the LDD pipeline:
 Input distribution (seeds, sources) and output collection are out of
 band, as in the standard MPC accounting; phase 3 of the LDD
 (Elkin–Neiman + components) stays coordinator-local (see the
-execution-backend matrix in ``src/repro/exp/README.md``).
+partitioned-execution section of ``src/repro/exp/README.md``).
 """
 
 from __future__ import annotations

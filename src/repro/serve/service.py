@@ -104,10 +104,7 @@ class QueryService:
         return out
 
     def clusters_within_radius(
-        self,
-        sources: np.ndarray,
-        radius: int,
-        kernel_workers: Optional[int] = None,
+        self, sources: np.ndarray, radius: int
     ) -> List[np.ndarray]:
         """Per source: sorted cluster ids reachable within ``radius`` hops.
 
@@ -116,9 +113,7 @@ class QueryService:
         unclustered reachable vertices contribute nothing.
         """
         batch = np.asarray(sources, dtype=np.int64)
-        dist = self.csr.distances_from(
-            batch, radius=radius, kernel_workers=kernel_workers
-        )
+        dist = self.csr.distances_from(batch, radius=radius)
         out: List[np.ndarray] = []
         for row in dist:
             touched = self.index.labels[row >= 0]

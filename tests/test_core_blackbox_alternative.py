@@ -1,9 +1,12 @@
 """Tests for the Section 1.6 blackbox and Section 4 alternative approach."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.core import alternative_packing, blackbox_ldd
+from repro.core.blackbox import _HALF_LAMBDA
 from repro.graphs import (
     cycle_graph,
     erdos_renyi_connected,
@@ -44,9 +47,10 @@ class TestBlackbox:
         direct = low_diameter_decomposition(g, eps=eps, seed=1)
         assert bb.ledger.nominal_rounds < direct.ledger.nominal_rounds
 
-    def test_lambda_validation(self):
-        with pytest.raises(ValueError):
-            blackbox_ldd(cycle_graph(10), eps=0.3, half_lambda=1.0)
+    def test_half_decomposition_deletes_under_half(self):
+        """The inner Elkin–Neiman run is a half-decomposition: its
+        per-vertex deletion probability 1 − e^{−λ} stays below 1/2."""
+        assert 0 < 1 - math.exp(-_HALF_LAMBDA) < 0.5
 
 
 class TestAlternativePacking:

@@ -617,11 +617,7 @@ class TestLddEndToEnd:
             for cluster in d.clusters:
                 assert graph.weak_diameter(cluster) <= budget
             swept = chang_li_ldd(
-                graph,
-                params,
-                seed=seed,
-                execution_backend="mpc",
-                mpc=MpcConfig(ranks=2),
+                graph, params, seed=seed, mpc=MpcConfig(ranks=2)
             )
             assert swept.deleted == d.deleted, (name, seed)
             assert swept.clusters == d.clusters, (name, seed)

@@ -147,22 +147,28 @@ class TestKernelBitIdentity:
 
 
 class TestConsumerBitIdentity:
+    """Consumers reach kernel sharding only through the environment
+    default, as the runner sets it: serial and sharded runs agree."""
+
     @pytest.fixture(autouse=True)
     def tiny_chunks(self, monkeypatch):
         # Shrink the gather budget so even these small graphs split
         # into many chunks — the parallel dispatch must engage.
         monkeypatch.setattr(csr_module, "_GATHER_BUDGET_BYTES", 1)
+        monkeypatch.delenv(parallel.KERNEL_WORKERS_ENV, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
 
     @pytest.mark.parametrize("workers", [2, 4])
-    def test_chang_li_ldd_partition_identical(self, workers):
+    def test_chang_li_ldd_partition_identical(self, workers, monkeypatch):
         graph = random_regular(300, 3, np.random.default_rng(3))
         params = LddParams.practical(0.3, graph.n)
-        serial = chang_li_ldd(graph, params, seed=11, kernel_workers=1)
-        sharded = chang_li_ldd(graph, params, seed=11, kernel_workers=workers)
+        serial = chang_li_ldd(graph, params, seed=11)
+        monkeypatch.setenv(parallel.KERNEL_WORKERS_ENV, str(workers))
+        sharded = chang_li_ldd(graph, params, seed=11)
         assert serial.deleted == sharded.deleted
         assert serial.clusters == sharded.clusters
 
-    def test_decomposition_stats_identical(self):
+    def test_decomposition_stats_identical(self, monkeypatch):
         graph = grid_graph(12, 12)
         decomposition = chang_li_ldd(
             graph, LddParams.practical(0.3, graph.n), seed=2
@@ -171,9 +177,10 @@ class TestConsumerBitIdentity:
             graph, decomposition.clusters, decomposition.deleted,
             compute_strong=True,
         )
+        monkeypatch.setenv(parallel.KERNEL_WORKERS_ENV, "2")
         sharded = decomposition_stats(
             graph, decomposition.clusters, decomposition.deleted,
-            compute_strong=True, kernel_workers=2,
+            compute_strong=True,
         )
         assert serial == sharded
 

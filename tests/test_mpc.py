@@ -25,13 +25,7 @@ from repro.graphs.generators import (
     random_regular,
 )
 from repro.graphs.graph import Graph
-from repro.mpc import (
-    EXECUTION_BACKENDS,
-    MpcConfig,
-    ShardKernel,
-    check_execution_backend,
-    partition_graph,
-)
+from repro.mpc import MpcConfig, ShardKernel, partition_graph
 
 
 def _graphs():
@@ -412,20 +406,13 @@ class TestTinyPartitions:
 
 
 class TestLddExecutionBackend:
-    def test_unknown_backend_rejected(self):
-        assert EXECUTION_BACKENDS == ("local", "mpc")
-        with pytest.raises(ValueError, match="execution_backend"):
-            check_execution_backend("congest")
-
     @pytest.mark.parametrize("ranks", [1, 2, 4, 8])
     def test_partitions_bit_identical_to_local(self, ranks):
         graph = random_regular(300, 3, np.random.default_rng(3))
         params = LddParams.practical(0.3, graph.n)
         local = chang_li_ldd(graph, params, seed=11)
         run = MpcConfig(ranks=ranks).start(graph.csr())
-        partitioned = chang_li_ldd(
-            graph, params, seed=11, execution_backend="mpc", mpc=run
-        )
+        partitioned = chang_li_ldd(graph, params, seed=11, mpc=run)
         assert partitioned.deleted == local.deleted
         assert partitioned.clusters == local.clusters
         assert partitioned.ledger.charges == local.ledger.charges
@@ -440,11 +427,7 @@ class TestLddExecutionBackend:
         params = LddParams.practical(0.3, graph.n)
         local = chang_li_ldd(graph, params, seed=5)
         partitioned = chang_li_ldd(
-            graph,
-            params,
-            seed=5,
-            execution_backend="mpc",
-            mpc=MpcConfig(ranks=4, layout="hash"),
+            graph, params, seed=5, mpc=MpcConfig(ranks=4, layout="hash")
         )
         assert partitioned.deleted == local.deleted
         assert partitioned.clusters == local.clusters
@@ -468,8 +451,7 @@ class TestLddExecutionBackend:
             local = chang_li_ldd(graph, params, seed=5)
         assert col.counter_table()["csr.ball_estimate.swept"] < graph.n
         partitioned = chang_li_ldd(
-            graph, params, seed=5, execution_backend="mpc",
-            mpc=MpcConfig(ranks=ranks),
+            graph, params, seed=5, mpc=MpcConfig(ranks=ranks)
         )
         assert partitioned.deleted == local.deleted
         assert partitioned.clusters == local.clusters
