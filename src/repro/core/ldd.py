@@ -101,6 +101,10 @@ def chang_li_ldd(
     require(
         weights is None or len(weights) == n, "need one weight per vertex"
     )
+    require(
+        mpc is None or isinstance(mpc, (MpcConfig, MpcRun)),
+        "mpc must be an MpcConfig, an MpcRun or None",
+    )
     mpc_run: Optional[MpcRun] = mpc
     if isinstance(mpc, MpcConfig):
         mpc_run = mpc.start(graph.csr()) if n else None

@@ -137,6 +137,18 @@ class TestArtifactStore:
         store.put(digest, _make_arrays(), meta={"kind": "test"})
         assert store.load(digest) is not None
 
+    def test_payload_corruption_quarantines_without_mmap(self, tmp_path):
+        # Reading into process memory checks the payload checksum too.
+        store = ArtifactStore(tmp_path)
+        digest = _digest_for("corrupt-copy")
+        store.put(digest, _make_arrays(), meta={"kind": "test"})
+        path = store.path_for(digest)
+        data = bytearray(path.read_bytes())
+        data[-3] ^= 0xFF
+        path.write_bytes(bytes(data))
+        assert store.load(digest, mmap=False) is None
+        assert path.with_suffix(path.suffix + ".corrupt").exists()
+
     def test_truncated_file_quarantines(self, tmp_path):
         store = ArtifactStore(tmp_path)
         digest = _digest_for("trunc")

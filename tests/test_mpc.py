@@ -406,6 +406,15 @@ class TestTinyPartitions:
 
 
 class TestLddExecutionBackend:
+    def test_unknown_backend_rejected(self):
+        # ``mpc=`` is the only switch: a backend name or a rank count
+        # is refused up front, not failed on deep inside a carve.
+        graph = grid_graph(4, 4)
+        params = LddParams.practical(0.3, graph.n)
+        for backend in ("mpc", "local", 4):
+            with pytest.raises(ValueError, match="mpc"):
+                chang_li_ldd(graph, params, seed=0, mpc=backend)
+
     @pytest.mark.parametrize("ranks", [1, 2, 4, 8])
     def test_partitions_bit_identical_to_local(self, ranks):
         graph = random_regular(300, 3, np.random.default_rng(3))
