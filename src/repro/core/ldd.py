@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import List, Optional, Sequence, Set
+
+import numpy as np
 
 import repro.obs as _obs
 from repro.core.carve import carve_round, grow_and_carve
@@ -80,11 +82,19 @@ def chang_li_ldd(
     the maximum depth charged to the ledger is certified with a few
     BFS rounds, and only the sources left open (unsaturated balls,
     or every source of an expander whose depth will not certify) go
-    through the packed ``all_ball_sizes`` sweep.  Sizes and depth are
-    exactly the full sweep's.  Weighted estimates and partitioned
-    runs sweep every source.  The kernels shard their source chunks
-    over ``REPRO_KERNEL_WORKERS`` processes (default serial); the
+    through the packed sweep — for their depths only when every one
+    of them is certified saturated.  Sizes and depth are exactly the
+    full sweep's.  Weighted estimates and partitioned runs sweep every
+    source.  The kernels shard their source chunks over
+    ``REPRO_KERNEL_WORKERS`` processes (default serial); the
     decomposition is bit-identical at any worker count.
+
+    Each vertex ``v`` owns private streams ``v`` (phase 1) and
+    ``n + v`` (phase 2) of ``LazyRngStreams(seed, 2n + 4)``; a
+    sampling round draws the coins of all residual vertices in one
+    :meth:`~repro.util.rng.LazyRngStreams.random` call, bit-identical
+    to one ``Generator.random()`` per vertex, and compares them with
+    the elementwise ``p_{v,i}`` of :class:`LddParams`.
 
     ``mpc`` switches to partitioned execution: the BFS-shaped steps
     (the ``n_v`` estimation and every carve gather) run over the ranks
@@ -109,10 +119,10 @@ def chang_li_ldd(
     if isinstance(mpc, MpcConfig):
         mpc_run = mpc.start(graph.csr()) if n else None
     ledger = RoundLedger()
-    # Per-vertex private streams, derived lazily: stream v is
-    # bit-identical to the historical eager ``spawn_rngs(seed, 2n+4)[v]``
-    # but phase 2 only pays for the residual vertices it actually
-    # samples (eager spawning alone cost ~3 s at n = 10^5).
+    # Per-vertex private streams: stream v is bit-identical to the
+    # eager ``spawn_rngs(seed, 2n+4)[v]``, but each sampling round draws
+    # all its coins in one array call and phase 2 only derives the
+    # residual streams it samples.
     rngs = LazyRngStreams(seed, 2 * n + 4)
     remaining: Set[int] = set(range(n))
     deleted: Set[int] = set()
@@ -121,26 +131,26 @@ def chang_li_ldd(
     # The hot path.  Only unweighted local runs short-circuit saturated
     # balls: weighted sizes are float sums in sweep order, and the mpc
     # driver meters its sweep.
-    estimates: Dict[int, float] = {}
+    estimates = np.zeros(n, dtype=np.float64)
     max_depth = 0
     with _obs.span("ldd.estimate_nv"):
         if mpc_run is not None:
-            sizes, depths = mpc_run.all_ball_sizes(
+            estimates, depths = mpc_run.all_ball_sizes(
                 params.estimate_radius, weights=weights
             )
-            estimates = {v: float(sizes[v]) for v in range(n)}
             max_depth = int(depths.max())
         elif n:
             if weights is None:
-                sizes, max_depth = graph.csr().ball_size_estimate(
+                estimates, max_depth = graph.csr().ball_size_estimate(
                     params.estimate_radius
                 )
             else:
-                sizes, depths = graph.csr().all_ball_sizes(
+                estimates, depths = graph.csr().all_ball_sizes(
                     params.estimate_radius, weights=weights
                 )
                 max_depth = int(depths.max())
-            estimates = {v: float(sizes[v]) for v in range(n)}
+    # ``n_v`` as the integer part of the estimate, at least 1.
+    n_v = np.maximum(1.0, np.trunc(estimates))
     ledger.charge("estimate-nv", params.estimate_radius, max_depth)
 
     # -- Phase 1: t sparsification iterations (Algorithm 2), then --
@@ -167,12 +177,14 @@ def chang_li_ldd(
 
     for label, interval, stream, probability in rounds:
         with _obs.span("ldd.sample_centers"):
-            centers = [
-                {v}
-                for v in sorted(remaining)
-                if rngs[stream + v].random()
-                < probability(max(1, int(estimates[v])))
-            ]
+            # One coin per residual vertex, read in sorted id order:
+            # iteration i takes the i-th draw of each surviving stream.
+            residual = np.sort(
+                np.fromiter(remaining, dtype=np.int64, count=len(remaining))
+            )
+            coins = rngs.random(stream + residual)
+            hit = coins < probability(n_v[residual])
+            centers = [{v} for v in residual[hit].tolist()]
         with _obs.span(f"ldd.carve.{label}"):
             outcome = carve_round(
                 graph, centers, interval, remaining, deleted, ledger, label, carve

@@ -25,6 +25,9 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+import numpy as np
+from numpy.typing import ArrayLike
+
 from repro.util.validation import check_fraction, require
 
 Interval = Tuple[int, int]
@@ -45,6 +48,14 @@ def _covering_iterations(eps: float, ntilde: int, slack: int) -> int:
             + slack
         ),
     )
+
+
+def _ball_sizes(n_v: ArrayLike) -> np.ndarray:
+    """``n_v`` as float64, checked: every ball counts its own vertex."""
+    n_v = np.asarray(n_v, dtype=np.float64)
+    low = np.min(n_v, initial=np.inf)
+    require(low >= 1, f"n_v must be >= 1, got {low}")
+    return n_v
 
 
 def profile_params(
@@ -138,22 +149,21 @@ class LddParams:
     def intervals(self) -> List[Interval]:
         return [self.interval(i) for i in range(1, self.t + 1)]
 
-    def sampling_probability(self, i: int, n_v: int) -> float:
-        """``p_{v,i} = 2^i · ln ñ / n_v`` (capped at 1)."""
-        require(n_v >= 1, f"n_v must be >= 1, got {n_v}")
-        p = (2.0 ** i) * math.log(self.ntilde) / n_v
-        return min(1.0, p)
+    def sampling_probability(self, i: int, n_v: ArrayLike) -> np.ndarray:
+        """``p_{v,i} = 2^i · ln ñ / n_v`` (capped at 1), elementwise."""
+        p = (2.0 ** i) * math.log(self.ntilde) / _ball_sizes(n_v)
+        return np.minimum(1.0, p)
 
-    def phase2_probability(self, n_v: int) -> float:
-        """``p_{v,t+1} = 2^{t+1} · ln ñ · ln(20/ε) / n_v`` (capped)."""
-        require(n_v >= 1, f"n_v must be >= 1, got {n_v}")
+    def phase2_probability(self, n_v: ArrayLike) -> np.ndarray:
+        """``p_{v,t+1} = 2^{t+1} · ln ñ · ln(20/ε) / n_v`` (capped),
+        elementwise."""
         p = (
             (2.0 ** (self.t + 1))
             * math.log(self.ntilde)
             * self.phase2_boost
-            / n_v
+            / _ball_sizes(n_v)
         )
-        return min(1.0, p)
+        return np.minimum(1.0, p)
 
     def nominal_rounds(self) -> int:
         """Round-complexity formula ``O(t²R)`` term by term."""

@@ -483,6 +483,22 @@ class CsrGraph:
         through :func:`repro.graphs.parallel.resolve_kernel_workers`
         (``REPRO_KERNEL_WORKERS``, default serial).
         """
+        return self._ball_sweep(
+            radius, weights, within, sources, chunk_size, kernel_workers, harvest=True
+        )
+
+    def _ball_sweep(
+        self,
+        radius: Optional[int],
+        weights: Optional[Sequence[float]],
+        within: Optional[Iterable[int]],
+        sources: Optional[Iterable[int]],
+        chunk_size: Optional[int],
+        kernel_workers: Optional[int],
+        harvest: bool,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`all_ball_sizes`; ``harvest=False`` computes the depths
+        only and leaves every size zero."""
         mask, w, sizes, depths, chunks = self.ball_sweep_inputs(
             radius, weights, within, sources, chunk_size
         )
@@ -490,7 +506,11 @@ class CsrGraph:
         with _obs.span("csr.all_ball_sizes"):
             if workers > 1 and len(chunks) > 1:
                 results = _parallel.run_chunk_tasks(
-                    self, "ball", [c[0] for c in chunks], (radius, w, mask), workers
+                    self,
+                    "ball",
+                    [c[0] for c in chunks],
+                    (radius, w, mask, harvest),
+                    workers,
                 )
                 for (_, s_sizes, s_depths), (r_sizes, r_depths) in zip(
                     chunks, results, strict=True
@@ -500,7 +520,9 @@ class CsrGraph:
                 return sizes, depths
             for s_chunk, s_sizes, s_depths in chunks:
                 with _obs.span("csr.ball_chunk"):
-                    self._ball_chunk(s_chunk, radius, w, mask, s_sizes, s_depths)
+                    self._ball_chunk(
+                        s_chunk, radius, w, mask, s_sizes if harvest else None, s_depths
+                    )
             return sizes, depths
 
     def _ball_chunk(
@@ -509,7 +531,7 @@ class CsrGraph:
         radius: Optional[int],
         w: Optional[np.ndarray],
         mask: Optional[np.ndarray],
-        sizes_out: np.ndarray,
+        sizes_out: Optional[np.ndarray],
         depths_out: np.ndarray,
     ) -> None:
         """Saturation-retiring packed sweep of one source chunk.
@@ -525,19 +547,22 @@ class CsrGraph:
         level's gather width.  The chunk exits when all words have
         retired, so a whole-graph ``radius`` never runs past the
         residual diameter (the old kernel's failure mode at n = 10^5,
-        where ``radius ≈ 900`` met a diameter-20 graph).
+        where ``radius ≈ 900`` met a diameter-20 graph).  With
+        ``sizes_out=None`` only the depths are recorded: retired words
+        are dropped without counting their bits.
         """
         count = len(s_chunk)
         if count == 0:
             return
         visited = self._seed_packed(s_chunk, count, mask)
 
-        def harvest(packed: np.ndarray, word_ids: np.ndarray) -> None:
+        def harvest(out: np.ndarray, packed: np.ndarray, word_ids: np.ndarray) -> None:
+            _obs.count("csr.ball.harvested_words", int(word_ids.size))
             totals = _column_weights(packed, w)
             for j, wid in enumerate(word_ids.tolist()):
                 base = wid * 64
                 top = min(count, base + 64)
-                sizes_out[base:top] = totals[64 * j : 64 * j + (top - base)]
+                out[base:top] = totals[64 * j : 64 * j + (top - base)]
 
         active = np.arange(visited.shape[1], dtype=np.int64)  # original word ids
         sweep = _PackedSweep(self, len(active))
@@ -562,7 +587,8 @@ class CsrGraph:
                 continue
             retired = np.nonzero(~live)[0]
             _obs.count("csr.ball.words_retired", int(retired.size))
-            harvest(visited[:, retired], active[retired])
+            if sizes_out is not None:
+                harvest(sizes_out, visited[:, retired], active[retired])
             keep = np.nonzero(live)[0]
             active = active[keep]
             visited = np.ascontiguousarray(visited[:, keep])
@@ -570,7 +596,8 @@ class CsrGraph:
             sweep = _PackedSweep(self, len(keep))
         if active.size:
             _obs.count("csr.ball.words_retired", int(active.size))
-            harvest(visited, active)
+            if sizes_out is not None:
+                harvest(sizes_out, visited, active)
 
     def ball_size_estimate(
         self,
@@ -605,8 +632,12 @@ class CsrGraph:
         graphs, so this keeps the rounds near or below the sweep work
         they save.  Vertex-transitive and expander graphs stop this
         way after the warm-up.  The sources still unsaturated or
-        uncertified go through :meth:`all_ball_sizes` with
-        ``kernel_workers``.  A graph at most ``_ESTIMATE_MIN_WORDS``
+        uncertified go through the :meth:`all_ball_sizes` sweep with
+        ``kernel_workers``.  When every one of them is certified
+        saturated (their sizes are already the component sizes, and
+        only the depth is open, as on a connected expander), the sweep
+        runs for depth only: retired words are dropped without
+        counting their bits.  A graph at most ``_ESTIMATE_MIN_WORDS``
         packed words wide skips the rounds: its whole sweep costs less
         than the rounds do.
         """
@@ -618,24 +649,33 @@ class CsrGraph:
             )
             return sizes, int(depths.max()) if n else 0
         with _obs.span("csr.ball_estimate"):
-            sizes, depth, swept = self._certify_balls(radius)
+            sizes, depth, swept, saturated = self._certify_balls(radius)
         if swept.size:
-            s_sizes, s_depths = self.all_ball_sizes(
-                radius, sources=swept, kernel_workers=kernel_workers
+            s_sizes, s_depths = self._ball_sweep(
+                radius,
+                weights=None,
+                within=None,
+                sources=swept,
+                chunk_size=None,
+                kernel_workers=kernel_workers,
+                harvest=not saturated,
             )
-            sizes[swept] = s_sizes
+            if not saturated:
+                sizes[swept] = s_sizes
             depth = max(depth, int(s_depths.max()))
         return sizes, depth
 
     def _certify_balls(
         self, radius: Optional[int]
-    ) -> Tuple[np.ndarray, int, np.ndarray]:
+    ) -> Tuple[np.ndarray, int, np.ndarray, bool]:
         """The certification rounds of :meth:`ball_size_estimate`.
 
-        Returns ``(sizes, depth, open_sources)``: component sizes as
-        float64 (exact wherever the ball saturates), the largest
-        certified capped depth, and the sources the sweep must still
-        cover.  Its bound arrays are freed before that sweep runs.
+        Returns ``(sizes, depth, open_sources, saturated)``: component
+        sizes as float64 (exact wherever the ball saturates), the
+        largest certified capped depth, the sources the sweep must
+        still cover, and whether every one of those is certified
+        saturated (so the sweep needs their depths only).  Its bound
+        arrays are freed before that sweep runs.
         """
         n = self.n
         labels = np.empty(n, dtype=np.int64)
@@ -683,7 +723,7 @@ class CsrGraph:
         _obs.count("csr.ball_estimate.saturated", int(np.count_nonzero(saturated)))
         _obs.count("csr.ball_estimate.swept", int(swept.size))
         comp_size = np.diff(np.append(starts, n)).astype(np.float64)
-        return comp_size[labels], depth, swept
+        return comp_size[labels], depth, swept, bool(saturated[swept].all())
 
     def distances_from(
         self,

@@ -127,11 +127,13 @@ def _run_kernel_chunk(spec: Dict[str, Any], kind: str, common: tuple, payload):
     with _obs.span("parallel.attach"):
         csr = _attach(spec)
     if kind == "ball":
-        radius, weights, mask = common
+        radius, weights, mask, harvest = common
         s_chunk = payload
         sizes = np.zeros(len(s_chunk), dtype=np.float64)
         depths = np.zeros(len(s_chunk), dtype=np.int64)
-        csr._ball_chunk(s_chunk, radius, weights, mask, sizes, depths)
+        csr._ball_chunk(
+            s_chunk, radius, weights, mask, sizes if harvest else None, depths
+        )
         return sizes, depths
     if kind == "dist":
         radius, mask = common

@@ -2,8 +2,6 @@
 
 from pathlib import Path
 
-import pytest
-
 from repro.devtools.docs_check import (
     check_links,
     check_readme_package_coverage,

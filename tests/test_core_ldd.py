@@ -1,5 +1,7 @@
 """Tests for the Theorem 1.1 low-diameter decomposition."""
 
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -167,6 +169,23 @@ class TestTraceCountsExecutedCarves:
         assert len(trace.centers_per_iteration) == params.t + 1
 
 
+class _EagerStreams:
+    """The eager ``spawn_rngs(seed, count)`` reference behind the
+    :class:`~repro.util.rng.LazyRngStreams` interface: one ``Generator``
+    per stream, drawn one at a time."""
+
+    def __init__(self, seed, count):
+        from repro.util.rng import spawn_rngs
+
+        self._rngs = spawn_rngs(seed, count)
+
+    def __getitem__(self, index):
+        return self._rngs[index]
+
+    def random(self, indices):
+        return np.array([self._rngs[i].random() for i in indices], dtype=np.float64)
+
+
 class TestLazyRngRegression:
     """The lazy per-vertex streams must reproduce the historical eager
     ``spawn_rngs(seed, 2n + 4)`` decomposition bit for bit."""
@@ -186,17 +205,14 @@ class TestLazyRngRegression:
 
     @pytest.mark.parametrize("seed", [0, 7, 12345])
     def test_partition_identical_to_eager_streams(self, seed, monkeypatch):
-        """A/B: run once with LazyRngStreams, once with the seed-state
-        eager implementation injected in its place."""
+        """A/B: run once with LazyRngStreams, once with the eager
+        per-stream generators injected in its place."""
         import repro.core.ldd as ldd_module
-        from repro.util.rng import spawn_rngs
 
         for name, graph in self._graphs():
             params = LddParams.practical(0.3, graph.n)
             lazy = chang_li_ldd(graph, params, seed=seed)
-            monkeypatch.setattr(
-                ldd_module, "LazyRngStreams", lambda s, count: spawn_rngs(s, count)
-            )
+            monkeypatch.setattr(ldd_module, "LazyRngStreams", _EagerStreams)
             eager = chang_li_ldd(graph, params, seed=seed)
             monkeypatch.undo()
             assert lazy.deleted == eager.deleted, (name, seed)
@@ -212,7 +228,7 @@ class TestLazyRngRegression:
         lazy = LazyRngStreams(g2, 12)
         assert g1.bit_generator.state == g2.bit_generator.state
         for i in (11, 0, 5, 5):
-            assert eager[i].random() == lazy[i].random()
+            assert eager[i].random() == lazy.random([i])[0]
 
     def test_lazy_stream_bounds_and_independence_of_access_order(self):
         from repro.util.rng import LazyRngStreams, spawn_rngs
@@ -229,3 +245,118 @@ class TestLazyRngRegression:
         with pytest.raises(ValueError):
             LazyRngStreams(0, -1)
         assert len(forward) == 20
+
+
+#: Every ``SeedLike`` form (fresh per call: a Generator seed is consumed).
+_DIGEST_SEEDS = {
+    "0": lambda: 0,
+    "7": lambda: 7,
+    "2**63+5": lambda: 2**63 + 5,
+    "spawn-key": lambda: np.random.SeedSequence(5, spawn_key=(3,)),
+    "generator": lambda: np.random.default_rng(9),
+}
+
+#: Recorded with the per-stream ``Generator`` sampling, before it was
+#: vectorized.
+_PINNED_DIGESTS = {
+    ("grid", "0", "plain"): "56ac99ae19de8a09d6c6b116a763e76212cb9a71973d4dce7812ee9d04a47b22",
+    ("grid", "7", "plain"): "2593a27e45211e84fa6bfef108e445a4ea7b72e4335eee1e589b8c76710d05df",
+    ("grid", "2**63+5", "plain"): "5a344b607963adfd5628af954c8e6b24d1abb280fd75618ba5d3b686ead15225",
+    ("grid", "spawn-key", "plain"): "8421c9a8f2980bb6269fcd7b3c109de179ca307e0feb0c7505c120509276d5b5",
+    ("grid", "generator", "plain"): "0662b5910ca6cff56838c95810154285043c691f6c4c0aad633b4959ba61f4b4",
+    ("grid", "7", "weighted"): "c1f139a31143a5f1e73feb0d50aca67d05ea471a350f8e103393a9cd2311d513",
+    ("grid", "7", "skip-phase2"): "2593a27e45211e84fa6bfef108e445a4ea7b72e4335eee1e589b8c76710d05df",
+    ("regular", "0", "plain"): "3dc8ef44f79d1914fc02fd803ccfafe4a3b69f3ddecb206cde47ce7a5970130a",
+    ("regular", "7", "plain"): "f05b0c184a5b6db82504b76f692ab400074ff4bacbda3a76a11f0453535f1548",
+    ("regular", "2**63+5", "plain"): "21daa78dcf14f37842958050d21f4a551cdb68573e1ef1a81e734d028bb3ceab",
+    ("regular", "spawn-key", "plain"): "3de502e44fded90aa79022afe19b2705010fed27a75d5ada550e9cbdbe915b8b",
+    ("regular", "generator", "plain"): "0b3cc3ff7461703468151780660fef64980bf3a1d5b00eefcb94a6443471d3b3",
+    ("regular", "7", "weighted"): "3fe13025763572eebedc7a7c6efa2213f0daa64bc1a757df42eacad199770669",
+    ("regular", "7", "skip-phase2"): "f05b0c184a5b6db82504b76f692ab400074ff4bacbda3a76a11f0453535f1548",
+    ("shattered", "0", "plain"): "f605a85a9bf60d675d184023992f645fb058e7f6aa964cb0d392f1436e4f87fe",
+    ("shattered", "7", "plain"): "f605a85a9bf60d675d184023992f645fb058e7f6aa964cb0d392f1436e4f87fe",
+    ("shattered", "2**63+5", "plain"): "f605a85a9bf60d675d184023992f645fb058e7f6aa964cb0d392f1436e4f87fe",
+    ("shattered", "spawn-key", "plain"): "f605a85a9bf60d675d184023992f645fb058e7f6aa964cb0d392f1436e4f87fe",
+    ("shattered", "generator", "plain"): "f605a85a9bf60d675d184023992f645fb058e7f6aa964cb0d392f1436e4f87fe",
+    ("shattered", "7", "weighted"): "f605a85a9bf60d675d184023992f645fb058e7f6aa964cb0d392f1436e4f87fe",
+    ("shattered", "7", "skip-phase2"): "f605a85a9bf60d675d184023992f645fb058e7f6aa964cb0d392f1436e4f87fe",
+    ("regular-2000", "0", "plain"): "9cab3d8ed825a4bdcded4938cd591121d30a1231c7cde49301c76696647e24a8",
+    ("regular-2000", "7", "plain"): "9595e64ba987beb21e125602cf8a985796dfa9981a4ab725ce0ae142028ba920",
+    ("regular-2000", "2**63+5", "plain"): "c4ebebd65dd98b2f05913612579116be710c7a376b1ca3799cbfa6cceb8ebc0e",
+    ("regular-2000", "spawn-key", "plain"): "78be84519c1b2d4269ec53db4176ca651e1e3bfc5011b298cecdb44f8d7a7683",
+    ("regular-2000", "generator", "plain"): "9eb53617f3abd4484367c6e3944076cabd30e5279e42d824e1c835d84779a89b",
+    ("regular-2000", "7", "weighted"): "140e991b5fbc0cce13d72fb692c67d34de819b020ae7c8cb7de1f2ff66606cb3",
+    ("regular-2000", "7", "skip-phase2"): "818ce9e76726fd71888c9bd5c3584b2842babfeda2cd2b290deaf512c79fc43e",
+}
+
+
+class TestPinnedDigests:
+    """``chang_li_ldd`` outputs pinned as sha256 digests of the sorted
+    clusters, the deleted set and ``ledger.effective_rounds``.
+
+    The literals were recorded before center sampling was vectorized, so
+    they hold every per-vertex draw to the historical per-stream
+    ``Generator`` values.  ``regular-2000`` is wider than
+    ``_ESTIMATE_MIN_WORDS``: its saturated ``n_v`` estimate takes the
+    depth-only sweep.
+    """
+
+    @staticmethod
+    def _graphs():
+        from repro.graphs import random_regular
+        from repro.graphs.graph import Graph
+
+        shattered = [(3 * c + j, 3 * c + j + 1) for c in range(40) for j in range(2)]
+        return {
+            "grid": grid_graph(9, 9),
+            "regular": random_regular(90, 3, np.random.default_rng(11)),
+            "shattered": Graph(120, shattered),
+            "regular-2000": random_regular(2000, 3, np.random.default_rng(11)),
+        }
+
+    @staticmethod
+    def _digest(d):
+        import hashlib
+        import json
+
+        payload = json.dumps(
+            [
+                sorted(sorted(int(v) for v in c) for c in d.clusters),
+                sorted(int(v) for v in d.deleted),
+                int(d.ledger.effective_rounds),
+            ]
+        )
+        return hashlib.sha256(payload.encode()).hexdigest()
+
+    @classmethod
+    def _runs(cls):
+        """``(key, thunk)`` per pinned case: every seed form plain, plus
+        a weighted and a ``skip_phase2`` run at seed 7, on every graph.
+
+        ``R = 1`` keeps a residual alive on ``regular-2000`` through
+        every phase-1 iteration, phase 2 and phase 3, while the profile's
+        ``4tR`` estimate radius (``R = 26``) saturates every ball."""
+        for name, g in cls._graphs().items():
+            params = dataclasses.replace(
+                LddParams.practical(0.3, g.n), interval_length=1
+            )
+            weights = [1.0 + 0.5 * (v % 5) for v in range(g.n)]
+            for label, make in _DIGEST_SEEDS.items():
+                yield (name, label, "plain"), functools.partial(
+                    chang_li_ldd, g, params, seed=make()
+                )
+            yield (name, "7", "weighted"), functools.partial(
+                chang_li_ldd, g, params, seed=7, weights=weights
+            )
+            yield (name, "7", "skip-phase2"), functools.partial(
+                chang_li_ldd, g, params, seed=7, skip_phase2=True
+            )
+
+    def test_outputs_match_pinned_digests(self, monkeypatch):
+        """Narrow kernel chunks (outputs do not depend on the width), so
+        that ``REPRO_KERNEL_WORKERS=2`` shards the sweeps here too."""
+        import repro.graphs.csr as csr_module
+
+        monkeypatch.setattr(csr_module, "_GATHER_BUDGET_BYTES", 1 << 16)
+        got = {key: self._digest(run()) for key, run in self._runs()}
+        assert got == _PINNED_DIGESTS

@@ -11,7 +11,6 @@ repair degenerates to a bit-exact full rebuild.
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.core import (

@@ -393,17 +393,18 @@ def _estimate_radii(graph):
 
 
 def _ball_sizes_calls(monkeypatch):
-    """Count ``CsrGraph.all_ball_sizes`` calls (returns the list of
-    per-call source counts)."""
+    """Count packed ball sweeps — ``all_ball_sizes`` and the depth-only
+    sweep of ``ball_size_estimate`` alike (returns the list of per-call
+    source counts)."""
     calls = []
-    original = CsrGraph.all_ball_sizes
+    original = CsrGraph._ball_sweep
 
     def counting(self, *args, **kwargs):
         sizes, depths = original(self, *args, **kwargs)
         calls.append(len(sizes))
         return sizes, depths
 
-    monkeypatch.setattr(CsrGraph, "all_ball_sizes", counting)
+    monkeypatch.setattr(CsrGraph, "_ball_sweep", counting)
     return calls
 
 
@@ -500,6 +501,41 @@ class TestBallSizeEstimate:
             sharded = graph.csr().ball_size_estimate(None, kernel_workers=2)
             assert serial[0].tobytes() == sharded[0].tobytes()
             assert serial[1] == sharded[1]
+
+    @pytest.mark.parametrize("kernel_workers", [1, 2])
+    def test_saturated_expander_sweeps_depth_only(self, kernel_workers, monkeypatch):
+        """Every ball of a connected expander covers the graph at radius
+        ``None``, so the open sources are swept for their depths only:
+        no packed word is harvested, and sizes and depth are still the
+        full sweep's."""
+        monkeypatch.setattr(csr_module, "_GATHER_BUDGET_BYTES", 1 << 16)
+        graph = random_regular(2000, 3, np.random.default_rng(11))
+        ref_sizes, ref_depths = graph.csr().all_ball_sizes(None)
+        with obs.collect() as col:
+            sizes, max_depth = graph.csr().ball_size_estimate(
+                None, kernel_workers=kernel_workers
+            )
+        assert sizes.tobytes() == ref_sizes.tobytes()
+        assert max_depth == int(ref_depths.max())
+        counters = col.counter_table()
+        assert counters["csr.ball_estimate.swept"] > 0
+        assert counters["csr.ball.words_retired"] > 0
+        assert counters.get("csr.ball.harvested_words", 0) == 0
+
+    def test_unsaturated_grid_harvests_sizes(self):
+        """Radius 112 leaves most balls of a 50x200 grid short of the
+        component: their sizes are counted from the packed words, at
+        one kernel worker and at two."""
+        graph = grid_graph(50, 200)
+        ref_sizes, ref_depths = graph.csr().all_ball_sizes(112, kernel_workers=2)
+        for kernel_workers in (1, 2):
+            with obs.collect() as col:
+                sizes, max_depth = graph.csr().ball_size_estimate(
+                    112, kernel_workers=kernel_workers
+                )
+            assert sizes.tobytes() == ref_sizes.tobytes()
+            assert max_depth == int(ref_depths.max())
+            assert col.counter_table()["csr.ball.harvested_words"] > 0
 
     def test_small_graph_skips_the_rounds(self, monkeypatch):
         graph = grid_graph(20, 20)  # 7 packed words
