@@ -163,10 +163,10 @@ def _pcg_step(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """One 128-bit LCG step ``state * mult + inc`` on uint64 limbs."""
     # High half of the 64x64 product lo * mult_lo, from 32-bit pieces.
-    a0, a1 = lo & np.uint64(_MASK32), lo >> np.uint64(32)
+    low32, shift32 = np.uint64(_MASK32), np.uint64(32)
+    a0, a1 = lo & low32, lo >> shift32
     p00, p01 = a0 * _MULT_LO_0, a0 * _MULT_LO_1
     p10, p11 = a1 * _MULT_LO_0, a1 * _MULT_LO_1
-    low32, shift32 = np.uint64(_MASK32), np.uint64(32)
     mid = (p00 >> shift32) + (p01 & low32) + (p10 & low32)
     carry = p11 + (p01 >> shift32) + (p10 >> shift32) + (mid >> shift32)
     new_lo = lo * _MULT_LO
