@@ -34,6 +34,7 @@ materializing per-constraint dicts would dominate the solve).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -89,6 +90,19 @@ class MwuProblem:
     @property
     def nnz(self) -> int:
         return int(self.matrix.nnz)
+
+    @cached_property
+    def normalized(self) -> Tuple[sparse.csr_matrix, sparse.csr_matrix]:
+        """``(Â, Âᵀ)``: the matrix with rows scaled by ``1/bᵢ`` so every
+        bound is 1, and its transpose as CSR (one row per column).
+
+        Derived once per problem, so a solve's fractional and rounding
+        phases share one copy; callers only read it.
+        """
+        inv = 1.0 / self.bounds
+        scaled = self.matrix.tocsr(copy=True)
+        scaled.data = scaled.data * np.repeat(inv, np.diff(scaled.indptr))
+        return scaled, scaled.T.tocsr()
 
     @classmethod
     def from_arrays(

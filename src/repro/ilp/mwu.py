@@ -11,8 +11,11 @@ solution.  Design points:
   column per step (the classic Garg–Könemann inner loop), every step
   raises the whole batch of columns whose cost-effectiveness is within
   a ``(1+η)`` band of the best — Young's "parallel" idiom, executed as
-  two sparse matvecs per iteration (one transpose gather for the
-  oracle, one forward product for the step).  No per-row Python loops.
+  two sparse matvecs per iteration: the oracle ``Âᵀy`` through
+  scipy's CSC view ``Â.T`` (no transposed copy; it adds each column's
+  terms in increasing row order from 0.0, as a CSR transpose would)
+  and the forward product ``Âd`` for the step.  No per-row Python
+  loops; the loop's vectors live in buffers reused across iterations.
 * **Width reduction.**  Steps are capped so no constraint row moves by
   more than ``max(γ, β·slack)`` in normalized units, which keeps the
   exponential weights in range and makes progress geometric while
@@ -36,9 +39,18 @@ solution.  Design points:
   first trial on ties.
 
 All internal algebra runs on the *row-normalized* matrix ``Â`` (rows
-scaled by ``1/bᵢ`` so every bound is 1); packing additionally augments
-``Â`` with identity rows so the ``[0,1]`` box is part of the packing
-system and the run is a pure ``max w·x : Âx <= 1, x >= 0``.
+scaled by ``1/bᵢ`` so every bound is 1, :attr:`MwuProblem.normalized`,
+built once per problem and shared by the fractional and rounding
+phases).  Packing treats the ``[0,1]`` box as ``n`` more rows
+``x_j <= 1``, so the run is a pure ``max w·x : [Â; I]x <= 1, x >= 0``;
+the identity rows are never built (see :func:`_fractional_packing`).
+
+Counters (no-ops unless :mod:`repro.obs` is collecting), once per
+solve: ``mwu.iterations``; ``mwu.oracle_calls`` (two per iteration);
+``mwu.band_columns``, the lazy-threshold batch width summed over all
+iterations, i.e. how many columns the steps raised beside how many
+steps there were; ``mwu.rounding.trials`` and
+``mwu.rounding.repair_steps``.
 """
 
 from __future__ import annotations
@@ -94,7 +106,10 @@ _TINY = 1e-300
 
 @dataclass(frozen=True)
 class FractionalSolve:
-    """Internal result of one fractional MWU run (original-row duals)."""
+    """Internal result of one fractional MWU run (original-row duals).
+
+    ``band_columns`` is the lazy-threshold batch width summed over the
+    iterations (the ``mwu.band_columns`` counter)."""
 
     x: np.ndarray
     y: np.ndarray
@@ -104,6 +119,7 @@ class FractionalSolve:
     iterations: int
     oracle_calls: int
     converged: bool
+    band_columns: int
 
 
 @dataclass(frozen=True)
@@ -150,13 +166,6 @@ def default_schedule(m: int, eps: float) -> int:
     return int(64 + math.ceil(32.0 * math.log(max(m, 2)) / eps_i))
 
 
-def _row_normalized(problem: MwuProblem) -> sparse.csr_matrix:
-    """``Â``: rows scaled by ``1/bᵢ`` so every bound is 1."""
-    inv = 1.0 / problem.bounds
-    scaled = problem.matrix.tocsr(copy=True)
-    scaled.data = scaled.data * np.repeat(inv, np.diff(scaled.indptr))
-    return scaled
-
 def _column_stat(mat_t: sparse.csr_matrix, op: np.ufunc, empty: float) -> np.ndarray:
     """Per-column ``op``-reduction of a matrix given as its CSR transpose."""
     counts = np.diff(mat_t.indptr)
@@ -174,10 +183,9 @@ def _fractional_covering(
     """Width-reduced MWU for ``min w·x : Âx >= 1, x >= 0``."""
     m, n = problem.m, problem.n
     w = problem.weights
-    ah = _row_normalized(problem)
+    ah, at = problem.normalized
     if bool((np.diff(ah.indptr) == 0).any()):
         raise ValueError("covering row with empty support is unsatisfiable")
-    at = ah.T.tocsr()
     col_nnz = np.diff(at.indptr)
     colmax = _column_stat(at, np.maximum, 0.0)
     free = w <= 0.0
@@ -198,7 +206,7 @@ def _fractional_covering(
     if not bool(row_mask.any()):
         # Everything covered for free.
         y = np.zeros(m, dtype=np.float64)
-        return FractionalSolve(x, y, float(w.dot(x)), 0.0, 1.0, 0, 0, True)
+        return FractionalSolve(x, y, float(w.dot(x)), 0.0, 1.0, 0, 0, True, 0)
     if not bool(sel.any()):
         raise ValueError("covering rows left uncovered with no usable columns")
 
@@ -214,22 +222,33 @@ def _fractional_covering(
     budget = default_schedule(m, eps) if max_iterations is None else max_iterations
 
     inv_w = np.where(sel, 1.0 / np.maximum(w, _TINY), 0.0)
+    # A batch column's step direction; 0 off ``sel``, so the batch
+    # needs no second masking pass.
+    d_on = np.where(sel, 1.0 / np.maximum(colmax, _TINY), 0.0)
+    masked = None if bool(row_mask.all()) else ~row_mask
+    aht = ah.T  # CSC view: the oracle reads Âᵀy with no transposed copy
+    y = np.empty(m, dtype=np.float64)
+    lam = np.empty(n, dtype=np.float64)
+    d = np.empty(n, dtype=np.float64)
+    batch = np.empty(n, dtype=bool)
     best_val = math.inf
     best_x: Optional[np.ndarray] = None
     best_bound = 0.0
     best_y: Optional[np.ndarray] = None
     oracle = 0
+    band = 0
     it = 0
     converged = False
-    neg_inf = -math.inf
     while it < budget:
         it += 1
-        z = np.where(row_mask, -eta * u, neg_inf)
-        zmax = float(z.max())
-        y = np.exp(z - zmax)
-        g = at.dot(y)
+        np.multiply(u, -eta, out=y)
+        if masked is not None:
+            y[masked] = -math.inf
+        np.subtract(y, float(y.max()), out=y)
+        np.exp(y, out=y)
+        g = aht.dot(y)
         oracle += 1
-        lam = g * inv_w
+        np.multiply(g, inv_w, out=lam)
         lam_max = float(lam.max())
         if lam_max > 0.0:
             bound = float(y.sum()) / lam_max
@@ -247,19 +266,22 @@ def _fractional_covering(
             break
         if lam_max <= 0.0:  # no effective column left (masked rows only)
             break
-        d = np.where(lam >= lam_max / (1.0 + eps_i), 1.0 / np.maximum(colmax, _TINY), 0.0)
-        d[~sel] = 0.0
+        np.greater_equal(lam, lam_max / (1.0 + eps_i), out=batch)
+        band += int(np.count_nonzero(batch))
+        np.multiply(batch, d_on, out=d)
         r = ah.dot(d)
         oracle += 1
-        slack = 1.0 - u
-        capped = (slack > 0.0) & (r > 0.0)
-        if bool(capped.any()):
-            allow = np.maximum(gamma, beta * slack[capped])
-            step = float((allow / r[capped]).min())
+        # Only rows the batch touches (r > 0) can cap the step.
+        touched = np.flatnonzero(r > 0.0)
+        slack = 1.0 - u[touched]
+        open_rows = slack > 0.0
+        if bool(open_rows.any()):
+            allow = np.maximum(gamma, beta * slack[open_rows])
+            step = float((allow / r[touched[open_rows]]).min())
         else:
             step = gamma / max(float(r.max()), _TINY)
-        x += step * d
-        u += step * r
+        x += np.multiply(d, step, out=d)
+        u += np.multiply(r, step, out=r)
         if it % _RESYNC_EVERY == 0:
             u = ah.dot(x)
 
@@ -279,7 +301,7 @@ def _fractional_covering(
     primal_final = float(w.dot(best_x))
     gap = certificate_gap("covering", primal_final, dual_final)
     return FractionalSolve(
-        best_x, y_orig, primal_final, dual_final, gap, it, oracle, converged
+        best_x, y_orig, primal_final, dual_final, gap, it, oracle, converged, band
     )
 
 
@@ -309,19 +331,21 @@ def _fractional_packing(
 ) -> FractionalSolve:
     """Width-reduced MWU for ``max w·x : Âx <= 1, 0 <= x <= 1``.
 
-    The box is folded into the packing system as identity rows, so the
-    loop only ever sees ``Â_aug x <= 1, x >= 0``.
+    The ``[0,1]`` box is part of the packing system: ``x <= 1`` is a
+    row ``x_j`` per column, with load ``x_j`` and dual ``y[m + j]``, so
+    the run is ``max w·x : [Â; I] x <= 1, x >= 0``.  The identity rows
+    are never built.  Their column entry comes last and is exactly 1,
+    so ``[Â; I]ᵀy = Âᵀy[:m] + y[m:]`` and ``[Â; I] d = [Âd; d]``
+    bit for bit.
     """
     m, n = problem.m, problem.n
     w = problem.weights
-    ah = _row_normalized(problem)
-    aug = sparse.vstack(
-        [ah, sparse.identity(n, dtype=np.float64, format="csr")], format="csr"
-    )
-    at = aug.T.tocsr()
-    colmax = _column_stat(at, np.maximum, 1.0)  # >= 1 via the identity rows
+    ah, at = problem.normalized
+    # >= 1 via the box rows.
+    colmax = np.maximum(_column_stat(at, np.maximum, 1.0), 1.0)
     sel = w > 0.0
-    ws = w[sel]
+    every = bool(sel.all())
+    ws = w if every else w[sel]
     m_aug = m + n
 
     eps_i = eps / 3.0
@@ -335,34 +359,48 @@ def _fractional_packing(
     # stride 8 (same iterates), so large n keeps a fixed stride.
     dual_every = 1 if n <= 65536 else (8 if n <= 262144 else 32)
 
+    d_on = 1.0 / colmax
+    aht = ah.T  # CSC view: the oracle reads Âᵀy with no transposed copy
     x = np.zeros(n, dtype=np.float64)
-    u = np.zeros(m_aug, dtype=np.float64)
+    # Row loads.  The box rows' loads are x itself: both take the same
+    # increments, and a resync would set them to x.
+    u = np.zeros(m, dtype=np.float64)
+    y = np.empty(m_aug, dtype=np.float64)
+    lam = np.empty(n, dtype=np.float64)
+    d = np.empty(n, dtype=np.float64)
+    batch = np.empty(n, dtype=bool)
     best_val = 0.0
     best_x = np.zeros(n, dtype=np.float64)
     best_bound = float(ws.sum()) if ws.size else 0.0
     best_y: Optional[np.ndarray] = None
     order: Optional[np.ndarray] = None
     oracle = 0
+    band = 0
     it = 0
     converged = best_bound <= 0.0
     while it < budget and not converged:
         it += 1
-        z = eta * u
-        y = np.exp(z - float(z.max()))
-        g = at.dot(y)
+        np.multiply(u, eta, out=y[:m])
+        np.multiply(x, eta, out=y[m:])
+        np.subtract(y, float(y.max()), out=y)
+        np.exp(y, out=y)
+        g = aht.dot(y[:m])
+        g += y[m:]
         oracle += 1
-        # g >= y_box > 0 everywhere thanks to the identity rows.
-        g = np.maximum(g, _TINY)
-        lam = np.where(sel, w / g, 0.0)
+        # g >= y_box > 0 everywhere thanks to the box rows.
+        np.maximum(g, _TINY, out=g)
+        np.divide(w, g, out=lam)
+        if not every:
+            lam[~sel] = 0.0
         lam_max = float(lam.max())
         if it % dual_every == 1 or dual_every == 1:
             scaled_y, bound, order = _packing_dual_search(
-                y, lam[sel], g[sel], ws, order
+                y, lam if every else lam[sel], g if every else g[sel], ws, order
             )
             if bound < best_bound:
                 best_bound = bound
                 best_y = scaled_y
-        umax = float(u.max())
+        umax = max(float(u.max()), float(x.max())) if m else float(x.max())
         if umax > 0.0:
             val = float(w.dot(x)) / umax
             if val > best_val:
@@ -373,23 +411,29 @@ def _fractional_packing(
             break
         if lam_max <= 0.0:
             break
-        d = np.where(lam >= lam_max / (1.0 + eps_i), 1.0 / colmax, 0.0)
-        r = aug.dot(d)
+        np.greater_equal(lam, lam_max / (1.0 + eps_i), out=batch)
+        band += int(np.count_nonzero(batch))
+        np.multiply(batch, d_on, out=d)
+        r = ah.dot(d)
         oracle += 1
         # Saturated rows keep the γ floor (instead of blocking): steps
         # then push the binding rows' loads slowly past 1, which is what
         # concentrates the exponential duals and closes the gap after
-        # the primal has stopped improving.
-        capped = r > 0.0
-        if not bool(capped.any()):
-            break
-        slack = np.maximum(1.0 - u[capped], 0.0)
-        allow = np.maximum(gamma, beta * slack)
-        step = float((allow / r[capped]).min())
-        x += step * d
-        u += step * r
+        # the primal has stopped improving.  The rows the batch touches
+        # (r > 0) and the batch's own box rows (d > 0, never empty: the
+        # argmax column is in the batch) cap the step; min is exact, so
+        # splitting the two sets leaves it unchanged.
+        touched = np.flatnonzero(r > 0.0)
+        cols = np.flatnonzero(batch)
+        allow = np.maximum(gamma, beta * np.maximum(1.0 - x[cols], 0.0))
+        step = float((allow / d[cols]).min())
+        if touched.size:
+            allow = np.maximum(gamma, beta * np.maximum(1.0 - u[touched], 0.0))
+            step = min(step, float((allow / r[touched]).min()))
+        x += np.multiply(d, step, out=d)
+        u += np.multiply(r, step, out=r)
         if it % _RESYNC_EVERY == 0:
-            u = aug.dot(x)
+            u = ah.dot(x)
 
     best_x = np.minimum(best_x, 1.0)
     y_orig = (
@@ -399,7 +443,7 @@ def _fractional_packing(
     primal_final = float(w.dot(best_x))
     gap = certificate_gap("packing", primal_final, dual_final)
     return FractionalSolve(
-        best_x, y_orig, primal_final, dual_final, gap, it, oracle, converged
+        best_x, y_orig, primal_final, dual_final, gap, it, oracle, converged, band
     )
 
 
@@ -471,6 +515,7 @@ def mwu_fractional(
             frac = _fractional_packing(problem, eps, max_iterations)
     _obs.count("mwu.iterations", frac.iterations)
     _obs.count("mwu.oracle_calls", frac.oracle_calls)
+    _obs.count("mwu.band_columns", frac.band_columns)
     return Certificate(
         kind=problem.kind,
         eps=eps,
@@ -492,6 +537,12 @@ def _rounding_alphas(m: int, trials: int) -> np.ndarray:
     return 1.0 + top * np.arange(trials, dtype=np.float64) / (trials - 1)
 
 
+def _weight_order(w: np.ndarray) -> np.ndarray:
+    """Columns by weight, heaviest first, ties by index: the prune and
+    augment walk order."""
+    return np.lexsort((np.arange(w.size), -w))
+
+
 def _round_covering(
     problem: MwuProblem,
     x_frac: np.ndarray,
@@ -502,14 +553,16 @@ def _round_covering(
     per trial, deterministic greedy completion, deterministic prune."""
     m, n = problem.m, problem.n
     w = problem.weights
-    ah = _row_normalized(problem)
-    at = ah.T.tocsr()
+    ah, at = problem.normalized
     col_nnz = np.diff(at.indptr)
     rowsum = np.asarray(ah.sum(axis=1)).ravel()
     if bool((rowsum < 1.0 - FEASIBILITY_TOL).any()):
         raise ValueError("covering instance not satisfiable by the all-ones solution")
     alphas = _rounding_alphas(m, trials)
     free = (w <= 0.0) & (col_nnz > 0)
+    entry_row = np.repeat(np.arange(m), np.diff(ah.indptr))  # row of each Â entry
+    entry_col = np.repeat(np.arange(n), col_nnz)  # column of each Âᵀ entry
+    order = _weight_order(w) if n <= _PRUNE_LIMIT else None
     best_pick: Optional[np.ndarray] = None
     best_weight = math.inf
     repair_steps = 0
@@ -523,12 +576,10 @@ def _round_covering(
             needy = need > FEASIBILITY_TOL
             if not bool(needy.any()):
                 break
-            sub = ah[np.flatnonzero(needy)]
-            contrib = np.minimum(
-                sub.data, np.repeat(need[needy], np.diff(sub.indptr))
-            )
-            gain = np.zeros(n, dtype=np.float64)
-            np.add.at(gain, sub.indices, contrib)
+            # Each needy row's entries in CSR order, summed from zero.
+            ent = needy[entry_row]
+            contrib = np.minimum(ah.data[ent], need[entry_row[ent]])
+            gain = np.bincount(ah.indices[ent], weights=contrib, minlength=n)
             gain[pick] = 0.0
             score = gain / np.maximum(w, _TINY)
             j = int(np.argmax(score))
@@ -538,11 +589,16 @@ def _round_covering(
             lo, hi = at.indptr[j], at.indptr[j + 1]
             cov[at.indices[lo:hi]] += at.data[lo:hi]
             repair_steps += 1
-        if n <= _PRUNE_LIMIT:
-            for j in np.lexsort((np.arange(n), -w)):
+        if order is not None:
+            # cov only falls during the prune, and float subtraction is
+            # monotone, so a column whose removal would uncover a row now
+            # still would at its turn: walk only the columns that pass
+            # now, and test each again when it comes.
+            spare = cov[at.indices] - at.data >= 1.0 - FEASIBILITY_TOL
+            blocked = np.bincount(entry_col[~spare], minlength=n) > 0
+            walk = pick & (w > 0.0) & ~blocked
+            for j in order[walk[order]]:
                 j = int(j)
-                if not pick[j] or w[j] <= 0.0:
-                    continue
                 lo, hi = at.indptr[j], at.indptr[j + 1]
                 rows = at.indices[lo:hi]
                 if bool(np.all(cov[rows] - at.data[lo:hi] >= 1.0 - FEASIBILITY_TOL)):
@@ -569,8 +625,10 @@ def _round_packing(
     overload eviction, then a deterministic greedy augmentation."""
     n = problem.n
     w = problem.weights
-    ah = _row_normalized(problem)
-    at = ah.T.tocsr()
+    ah, at = problem.normalized
+    # Column of each Âᵀ entry.
+    entry_col = np.repeat(np.arange(n), np.diff(at.indptr))
+    order = _weight_order(w) if n <= _PRUNE_LIMIT else None
     shrink = min(0.5, eps)
     best_pick: Optional[np.ndarray] = None
     best_weight = -math.inf
@@ -595,12 +653,16 @@ def _round_packing(
                 jlo, jhi = at.indptr[j], at.indptr[j + 1]
                 usage[at.indices[jlo:jhi]] -= at.data[jlo:jhi]
                 repair_steps += 1
-        if n <= _PRUNE_LIMIT:
-            order = np.lexsort((np.arange(n), -w))
-            for j in order:
+        if order is not None:
+            # usage only rises during the augmentation, and float
+            # addition is monotone, so a column that would overload a
+            # row now still would at its turn: walk only the columns
+            # that fit now, and test each again when it comes.
+            fits = usage[at.indices] + at.data <= 1.0 + FEASIBILITY_TOL
+            blocked = np.bincount(entry_col[~fits], minlength=n) > 0
+            walk = ~pick & (w > 0.0) & ~blocked
+            for j in order[walk[order]]:
                 j = int(j)
-                if pick[j] or w[j] <= 0.0:
-                    continue
                 lo, hi = at.indptr[j], at.indptr[j + 1]
                 rows = at.indices[lo:hi]
                 if bool(

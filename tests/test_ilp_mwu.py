@@ -13,6 +13,13 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from repro import obs
+from repro.exp.scenarios import (
+    _MWU_COVERING_SPECS,
+    _MWU_PACKING_SPECS,
+    _covering_instance,
+    _packing_instance,
+)
 from repro.graphs import cycle_graph, erdos_renyi_connected, grid_graph
 from repro.ilp import (
     lp_relaxation_value,
@@ -42,6 +49,8 @@ from repro.ilp.mwu import (
     solve_packing_mwu,
     solve_packing_tiered,
 )
+
+import _mwu_reference as reference
 
 EPS = 0.1
 
@@ -515,3 +524,121 @@ class TestProblemForm:
         )
         assert cert.within()
         assert not cert.within(0.01)
+
+
+def _bytes(value):
+    """A value's exact identity: dtype, shape and bytes for arrays, type
+    and repr (round-trip exact) for scalars."""
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    return (type(value), repr(value))
+
+
+def _with_zero_weights(problem, every):
+    """``problem`` with every ``every``-th column's weight set to 0."""
+    weights = problem.weights.copy()
+    weights[::every] = 0.0
+    return MwuProblem.from_arrays(
+        problem.kind, weights, problem.matrix, problem.bounds, name=problem.name
+    )
+
+
+def _reference_pool():
+    """``(id, problem, eps)`` for the identity tests."""
+    pool = []
+    for kind in ("covering", "packing"):
+        for n in (200, 2000):
+            for seed in range(3):
+                problem = random_row_sparse_problem(kind, n, seed=seed)
+                pool.append((f"{kind}-{n}-s{seed}", problem, EPS))
+        problem = _with_zero_weights(random_row_sparse_problem(kind, 2000, seed=4), 17)
+        pool.append((f"{kind}-zero-weights", problem, EPS))
+    for spec in _MWU_PACKING_SPECS + _MWU_COVERING_SPECS:
+        build = _packing_instance if spec in _MWU_PACKING_SPECS else _covering_instance
+        problem = MwuProblem.from_instance(build(spec))
+        for eps in (0.3, 0.1):
+            pool.append((f"{spec}-eps{eps}", problem, eps))
+    return pool
+
+
+_POOL = _reference_pool()
+
+
+class TestReferenceIdentity:
+    """The live loops against their frozen pre-rewrite copies in
+    ``tests/_mwu_reference.py``: every field and every rounded pick must
+    be byte-equal.  Both sides run in this process on one BLAS kernel,
+    so equality holds whatever kernel the CPU selects."""
+
+    @staticmethod
+    def _fractional(problem, eps, max_iterations):
+        kind = problem.kind
+        live = getattr(mwu_module, f"_fractional_{kind}")(problem, eps, max_iterations)
+        frozen = getattr(reference, f"_fractional_{kind}")(problem, eps, max_iterations)
+        for field in dataclasses.fields(frozen):
+            assert _bytes(getattr(live, field.name)) == _bytes(
+                getattr(frozen, field.name)
+            ), field.name
+        return live
+
+    @staticmethod
+    def _rounding(problem, x, eps, trials):
+        for seed in (0, 5):
+            if problem.kind == "covering":
+                live = mwu_module._round_covering(problem, x, seed, trials)
+                frozen = reference._round_covering(problem, x, seed, trials)
+            else:
+                live = mwu_module._round_packing(problem, x, seed, trials, eps)
+                frozen = reference._round_packing(problem, x, seed, trials, eps)
+            assert live[0] == frozen[0]
+            assert _bytes(live[1]) == _bytes(frozen[1])
+
+    @pytest.mark.parametrize(
+        "problem,eps",
+        [entry[1:] for entry in _POOL],
+        ids=[entry[0] for entry in _POOL],
+    )
+    def test_fractional_and_rounding(self, problem, eps):
+        frac = self._fractional(problem, eps, None)
+        for trials in (1, 8):
+            self._rounding(problem, frac.x, eps, trials)
+
+    @pytest.mark.parametrize("kind", ["covering", "packing"])
+    def test_band_columns_counter(self, kind):
+        problem = random_row_sparse_problem(kind, 2000, seed=0)
+        frac = getattr(mwu_module, f"_fractional_{kind}")(problem, EPS, None)
+        with obs.collect() as col:
+            cert = mwu_fractional(problem, EPS)
+        assert col.counters["mwu.iterations"] == cert.iterations == frac.iterations
+        assert col.counters["mwu.band_columns"] == frac.band_columns
+        # Every iteration but the converging one raises a non-empty batch.
+        assert frac.iterations - 1 <= frac.band_columns
+        assert frac.band_columns <= frac.iterations * problem.n
+
+    def test_zero_weight_covering_masks_rows(self):
+        # The pool's zero-weight covering problem frees columns that have
+        # support, so its loop runs with masked rows.
+        problem = random_row_sparse_problem("covering", 2000, seed=4)
+        _, at = _with_zero_weights(problem, 17).normalized
+        assert np.diff(at.indptr)[::17].any()
+
+    def test_budget_exhaustion_forces_cover(self, monkeypatch):
+        calls = []
+        original = mwu_module._force_cover
+
+        def spy(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(mwu_module, "_force_cover", spy)
+        problem = random_row_sparse_problem("covering", 2000, seed=1)
+        frac = self._fractional(problem, EPS, 3)
+        assert calls and frac.iterations == 3 and not frac.converged
+        self._rounding(problem, frac.x, EPS, 1)
+
+    def test_large_packing_strides_the_dual_search(self):
+        # n > 65536: the dual search runs every 8th iteration, and
+        # iteration 32 resyncs the loads from x.
+        problem = random_row_sparse_problem("packing", 70_000, seed=2)
+        frac = self._fractional(problem, EPS, 40)
+        assert frac.iterations == 40 and frac.oracle_calls == 80
