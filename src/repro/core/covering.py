@@ -29,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
+import numpy as np
+
 from repro.artifacts.cache import SolveCache
 from repro.core.carve import (
     carve_round,
@@ -151,10 +153,11 @@ def chang_li_covering(
             zone_of[v] = zidx
     zone_edges: Dict[int, List[int]] = {}
     residual_edges: List[int] = []
-    for j, con in enumerate(instance.constraints):
-        if con.value(fixed_ones) >= con.bound - FEASIBILITY_TOL:
-            continue  # satisfied by Phase-1 fixing
-        support = set(con.coefficients) - fixed_ones
+    supports = instance.supports()
+    # Rows that the Phase-1 fixing already satisfies are skipped.
+    unsatisfied = instance.load(fixed_ones) < instance.bounds - FEASIBILITY_TOL
+    for j in np.flatnonzero(unsatisfied).tolist():
+        support = set(supports[j]) - fixed_ones
         if support <= remaining:
             residual_edges.append(j)
             continue

@@ -22,10 +22,10 @@ cores*.  This module does exactly that and nothing more:
 
 The generic plumbing — segment export/attach with the bounded LRU
 cache, the cached spawn pools, the ordered drain with cancel-on-error
-and broken-pool recovery — lives in :mod:`repro.transport` (shared
-with the partitioned-execution layer, :mod:`repro.mpc`); this module
-keeps only the CSR-specific glue: which arrays to publish, how to
-rebuild a graph from them, and the per-chunk kernel dispatch.
+and broken-pool recovery — lives in :mod:`repro.transport`, whose only
+importer is this module; this module keeps only the CSR-specific glue:
+which arrays to publish, how to rebuild a graph from them, and the
+per-chunk kernel dispatch.
 
 Worker-count resolution (:func:`resolve_kernel_workers`, re-exported
 from :mod:`repro.transport`): an explicit ``kernel_workers=`` argument

@@ -26,9 +26,9 @@ MWU iterations produced the vectors.
 :class:`MwuProblem` is the normalized array form the solver and the
 verifier share: a ``scipy.sparse`` CSR constraint matrix, float64
 weight/bound vectors, built either from a
-:class:`repro.ilp.instance` object (small/medium instances) or
-directly from arrays (the generated row-sparse scale instances, where
-materializing per-constraint dicts would dominate the solve).
+:class:`repro.ilp.instance` object (a row mask of its CSR matrix) or
+directly from arrays (the generated row-sparse scale instances, which
+never build per-constraint rows).
 """
 
 from __future__ import annotations
@@ -138,35 +138,14 @@ class MwuProblem:
         """
         kind = "packing" if isinstance(instance, PackingInstance) else "covering"
         weights = np.asarray(instance.weights, dtype=np.float64)
-        rows: List[int] = []
-        cols: List[int] = []
-        data: List[float] = []
-        bounds: List[float] = []
-        forced_zero: List[int] = []
-        kept = 0
-        for con in instance.constraints:
-            if con.bound <= FEASIBILITY_TOL:
-                if kind == "packing":
-                    forced_zero.extend(con.coefficients)
-                continue
-            bounds.append(con.bound)
-            for v, c in sorted(con.coefficients.items()):
-                rows.append(kept)
-                cols.append(v)
-                data.append(c)
-            kept += 1
-        if forced_zero:
-            weights = weights.copy()
-            weights[np.asarray(sorted(set(forced_zero)), dtype=np.intp)] = 0.0
-        matrix = sparse.csr_matrix(
-            (data, (rows, cols)), shape=(kept, instance.n), dtype=np.float64
-        )
-        matrix.sum_duplicates()
+        kept = instance.bounds > FEASIBILITY_TOL
+        if kind == "packing":
+            weights[instance.matrix[~kept].indices] = 0.0
         return cls(
             kind=kind,
             weights=weights,
-            matrix=matrix,
-            bounds=np.asarray(bounds, dtype=np.float64),
+            matrix=instance.matrix[kept],
+            bounds=instance.bounds[kept],
             name=instance.name,
         )
 

@@ -36,12 +36,14 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from repro.artifacts.cache import SolveCache
 from repro.ilp.instance import (
     FEASIBILITY_TOL,
-    Constraint,
     CoveringInstance,
     PackingInstance,
+    entries_by_line,
 )
 from repro.util.validation import require
 
@@ -77,7 +79,7 @@ def _solve_via_milp(sub, kind: str) -> ExactSolution:
     if kind == "pack":
         chosen = {v for v in chosen if sub.weights[v] > 0}
     else:
-        relevant = {v for con in sub.constraints for v in con.coefficients}
+        relevant = set(sub.matrix.indices.tolist())
         chosen = {v for v in chosen if sub.weights[v] > 0 or v in relevant}
     weight = sub.weight(chosen)
     return ExactSolution(weight=weight, chosen=frozenset(chosen))
@@ -104,9 +106,6 @@ def max_weight_independent_set(
     full_mask = (1 << k) - 1
     memo: Dict[int, Tuple[float, int]] = {}
     bit_index = {1 << i: i for i in range(k)}
-
-    def lowest_vertex(mask: int) -> int:
-        return bit_index[mask & -mask]
 
     def component_of(start_bit: int, mask: int) -> int:
         comp = start_bit
@@ -220,45 +219,27 @@ def solve_mwis(graph, weights: Optional[Sequence[float]] = None) -> ExactSolutio
 # ----------------------------------------------------------------------
 def _forced_zero_vars(instance: PackingInstance) -> Set[int]:
     """Variables that no feasible packing solution can select."""
-    forced: Set[int] = set()
-    for con in instance.constraints:
-        for v, coeff in con.coefficients.items():
-            if coeff > con.bound + FEASIBILITY_TOL:
-                forced.add(v)
-    return forced
+    a = instance.matrix
+    row_bounds = np.repeat(instance.bounds, np.diff(a.indptr))
+    return set(a.indices[a.data > row_bounds + FEASIBILITY_TOL].tolist())
 
 
-def _is_conflict_form(constraints: Sequence[Constraint]) -> bool:
+def _is_conflict_form(instance) -> bool:
     """All-ones coefficients with unit bounds: "choose <= 1 per support"."""
-    for con in constraints:
-        if abs(con.bound - 1.0) > FEASIBILITY_TOL:
-            return False
-        for coeff in con.coefficients.values():
-            if abs(coeff - 1.0) > FEASIBILITY_TOL:
-                return False
-    return True
+    ones = np.abs(instance.matrix.data - 1.0) <= FEASIBILITY_TOL
+    return bool(ones.all() and np.all(np.abs(instance.bounds - 1.0) <= FEASIBILITY_TOL))
 
 
-def _is_unit_covering_form(constraints: Sequence[Constraint]) -> bool:
+def _is_unit_covering_form(instance) -> bool:
     """All-ones coefficients with bounds <= 1 (set-cover shape)."""
-    for con in constraints:
-        if con.bound > 1.0 + FEASIBILITY_TOL:
-            return False
-        for coeff in con.coefficients.values():
-            if abs(coeff - 1.0) > FEASIBILITY_TOL:
-                return False
-    return True
+    ones = np.abs(instance.matrix.data - 1.0) <= FEASIBILITY_TOL
+    return bool(ones.all() and np.all(instance.bounds <= 1.0 + FEASIBILITY_TOL))
 
 
-def _max_constraint_membership(
-    constraints: Sequence[Constraint], active: Set[int]
-) -> int:
-    count: Dict[int, int] = {}
-    for con in constraints:
-        for v in con.coefficients:
-            if v in active:
-                count[v] = count.get(v, 0) + 1
-    return max(count.values(), default=0)
+def _max_constraint_membership(instance) -> int:
+    """The most rows any one variable appears in."""
+    counts = np.bincount(instance.matrix.indices)
+    return int(counts.max()) if counts.size else 0
 
 
 # ----------------------------------------------------------------------
@@ -291,58 +272,50 @@ def solve_packing_exact(
         for v in key_subset
         if sub.weights[v] > 0 and v not in forced_zero
     }
-    # Drop constraints that cannot bind over active variables.
-    live_constraints = []
-    for con in sub.constraints:
-        coeffs = {v: c for v, c in con.coefficients.items() if v in active}
-        if not coeffs:
-            continue
-        if sum(coeffs.values()) <= con.bound + FEASIBILITY_TOL:
-            continue
-        live_constraints.append(Constraint(coeffs, con.bound))
+    # Drop constraints that cannot bind over active variables: the live
+    # rows keep only their active entries.
+    on = sub._mask(active)[sub.matrix.indices]
+    rows = sub._entry_rows[on]
+    total = np.bincount(rows, weights=sub.matrix.data[on], minlength=sub.m)
+    binding = (np.bincount(rows, minlength=sub.m) > 0) & ~(
+        total <= sub.bounds + FEASIBILITY_TOL
+    )
+    live = sub._select(binding, on, sub.bounds)
 
-    if not live_constraints:
+    if live.m == 0:
         chosen = frozenset(active)
         solution = ExactSolution(instance.weight(chosen), chosen)
-    elif _is_conflict_form(live_constraints):
-        if _max_constraint_membership(live_constraints, active) <= 2:
-            solution = _solve_matching_form(sub, active, live_constraints)
+    elif _is_conflict_form(live):
+        if _max_constraint_membership(live) <= 2:
+            solution = _solve_matching_form(sub, active, live)
         elif (
             MILP_CUTOVER_PACKING is not None
             and len(active) > MILP_CUTOVER_PACKING
         ):
-            solution = _solve_via_milp(
-                PackingInstance(
-                    sub.weights, live_constraints, name=sub.name
-                ),
-                "pack",
-            )
+            solution = _solve_via_milp(live, "pack")
         else:
-            solution = _solve_conflict_form(sub, active, live_constraints)
+            solution = _solve_conflict_form(sub, active, live)
     elif (
         MILP_CUTOVER_PACKING_GENERAL is not None
         and len(active) > MILP_CUTOVER_PACKING_GENERAL
     ):
-        solution = _solve_via_milp(
-            PackingInstance(sub.weights, live_constraints, name=sub.name),
-            "pack",
-        )
+        solution = _solve_via_milp(live, "pack")
     else:
-        solution = _solve_packing_bnb(sub, active, live_constraints)
+        solution = _solve_packing_bnb(sub, active, live)
     if cache is not None:
         cache.store(key, solution)
     return solution
 
 
 def _solve_conflict_form(
-    sub: PackingInstance, active: Set[int], constraints: Sequence[Constraint]
+    sub: PackingInstance, active: Set[int], live: PackingInstance
 ) -> ExactSolution:
     """Conflict-form packing as MWIS on the conflict graph."""
     variables = sorted(active)
     index = {v: i for i, v in enumerate(variables)}
     adjacency = [0] * len(variables)
-    for con in constraints:
-        members = [index[v] for v in con.coefficients if v in index]
+    for row in live.supports():
+        members = [index[v] for v in row if v in index]
         for i, a in enumerate(members):
             for b in members[i + 1:]:
                 adjacency[a] |= 1 << b
@@ -356,7 +329,7 @@ def _solve_conflict_form(
 
 
 def _solve_matching_form(
-    sub: PackingInstance, active: Set[int], constraints: Sequence[Constraint]
+    sub: PackingInstance, active: Set[int], live: PackingInstance
 ) -> ExactSolution:
     """Conflict form with <= 2 memberships per variable: blossom matching.
 
@@ -370,12 +343,12 @@ def _solve_matching_form(
     import networkx as nx
 
     membership: Dict[int, List[int]] = {v: [] for v in active}
-    for j, con in enumerate(constraints):
-        for v in con.coefficients:
+    for j, row in enumerate(live.supports()):
+        for v in row:
             if v in membership:
                 membership[v].append(j)
     g = nx.Graph()
-    stub = itertools.count(len(constraints))
+    stub = itertools.count(live.m)
     best_between: Dict[Tuple[int, int], Tuple[float, int]] = {}
     unconstrained = {v for v, cons in membership.items() if not cons}
     for v, cons in membership.items():
@@ -402,7 +375,7 @@ def _solve_matching_form(
 
 
 def _solve_packing_bnb(
-    sub: PackingInstance, active: Set[int], constraints: Sequence[Constraint]
+    sub: PackingInstance, active: Set[int], live: PackingInstance
 ) -> ExactSolution:
     """Generic packing branch-and-bound (arbitrary A, b >= 0).
 
@@ -416,18 +389,15 @@ def _solve_packing_bnb(
     suffix = [0.0] * (len(variables) + 1)
     for i in range(len(variables) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + weights[i]
-    rows: List[Dict[int, float]] = []
-    bounds: List[float] = []
+    bounds = live.bounds.tolist()
     var_rows: Dict[int, List[Tuple[int, float]]] = {v: [] for v in variables}
-    for j, con in enumerate(constraints):
-        rows.append(dict(con.coefficients))
-        bounds.append(con.bound)
-        for v, c in con.coefficients.items():
+    for j, row in enumerate(entries_by_line(live.matrix)):
+        for v, c in row:
             if v in var_rows:
                 var_rows[v].append((j, c))
     best_weight = -1.0
     best_set: Set[int] = set()
-    usage = [0.0] * len(constraints)
+    usage = [0.0] * live.m
     current: Set[int] = set()
 
     def fits(v: int) -> bool:
@@ -496,74 +466,65 @@ def solve_covering_exact(
 def _solve_covering_dispatch(
     sub: CoveringInstance, allowed: Set[int]
 ) -> ExactSolution:
-    constraints = [c for c in sub.constraints if c.bound > FEASIBILITY_TOL]
-    if not constraints:
+    live = sub  # restrict() has dropped every row with bound <= tol
+    if live.m == 0:
         return ExactSolution(weight=0.0, chosen=frozenset())
     # Free variables (zero weight) are always worth taking.
     free = {
         v
-        for con in constraints
-        for v in con.coefficients
+        for v in live.matrix.indices.tolist()
         if sub.weights[v] == 0 and v in allowed
     }
     if free:
-        reduced = [c.reduce_by_fixed(free) for c in constraints]
-        constraints = [c for c in reduced if c.bound > FEASIBILITY_TOL]
-        if not constraints:
+        bounds, unfixed = live._completion(free)
+        live = live._select(bounds > FEASIBILITY_TOL, unfixed, bounds)
+        if live.m == 0:
             return ExactSolution(weight=0.0, chosen=frozenset(free))
-    for con in constraints:
-        available = sum(con.coefficients.values())
-        if available < con.bound - FEASIBILITY_TOL:
-            raise ValueError(
-                "restricted covering instance is unsatisfiable: "
-                f"constraint needs {con.bound}, support provides {available}"
-            )
-    active_vars = {v for c in constraints for v in c.coefficients}
-    if _is_unit_covering_form(constraints):
-        supports = [set(c.coefficients) for c in constraints]
-        if all(len(s) <= 2 for s in supports):
-            base = _solve_vertex_cover_form(sub, constraints)
+    available = np.bincount(
+        live._entry_rows, weights=live.matrix.data, minlength=live.m
+    )
+    short = np.flatnonzero(available < live.bounds - FEASIBILITY_TOL)
+    if short.size:
+        j = int(short[0])
+        raise ValueError(
+            "restricted covering instance is unsatisfiable: "
+            f"constraint needs {float(live.bounds[j])}, "
+            f"support provides {float(available[j])}"
+        )
+    num_active = np.unique(live.matrix.indices).size
+    if _is_unit_covering_form(live):
+        if np.diff(live.matrix.indptr).max() <= 2:
+            base = _solve_vertex_cover_form(sub, live)
         elif (
             MILP_CUTOVER_COVERING is not None
-            and len(active_vars) > MILP_CUTOVER_COVERING
+            and num_active > MILP_CUTOVER_COVERING
         ):
-            base = _solve_via_milp(
-                CoveringInstance(sub.weights, constraints, name=sub.name),
-                "cover",
-            )
+            base = _solve_via_milp(live, "cover")
         else:
-            base = _solve_set_cover_bnb(sub, constraints)
+            base = _solve_set_cover_bnb(sub, live)
     elif (
         MILP_CUTOVER_COVERING_GENERAL is not None
-        and len(active_vars) > MILP_CUTOVER_COVERING_GENERAL
+        and num_active > MILP_CUTOVER_COVERING_GENERAL
     ):
-        base = _solve_via_milp(
-            CoveringInstance(sub.weights, constraints, name=sub.name),
-            "cover",
-        )
+        base = _solve_via_milp(live, "cover")
     else:
-        base = _solve_covering_bnb(sub, constraints)
+        base = _solve_covering_bnb(sub, live)
     return ExactSolution(weight=base.weight, chosen=base.chosen | frozenset(free))
 
 
 def _solve_vertex_cover_form(
-    sub: CoveringInstance, constraints: Sequence[Constraint]
+    sub: CoveringInstance, live: CoveringInstance
 ) -> ExactSolution:
     """Supports of size <= 2: minimum-weight VC = complement of MWIS."""
-    forced = {
-        next(iter(c.coefficients))
-        for c in constraints
-        if len(c.coefficients) == 1
-    }
-    pair_constraints = [
-        c for c in constraints if len(c.coefficients) == 2
-        and not (set(c.coefficients) & forced)
+    rows = live.supports()
+    forced = {row[0] for row in rows if len(row) == 1}
+    pairs = [
+        row for row in rows if len(row) == 2 and not (set(row) & forced)
     ]
-    variables = sorted({v for c in pair_constraints for v in c.coefficients})
+    variables = sorted({v for row in pairs for v in row})
     index = {v: i for i, v in enumerate(variables)}
     adjacency = [0] * len(variables)
-    for c in pair_constraints:
-        a, b = sorted(c.coefficients)
+    for a, b in pairs:
         adjacency[index[a]] |= 1 << index[b]
         adjacency[index[b]] |= 1 << index[a]
     weights = [sub.weights[v] for v in variables]
@@ -576,10 +537,15 @@ def _solve_vertex_cover_form(
 
 
 def _solve_set_cover_bnb(
-    sub: CoveringInstance, constraints: Sequence[Constraint]
+    sub: CoveringInstance, live: CoveringInstance
 ) -> ExactSolution:
-    """Unit-coefficient covering: branch on the hardest element."""
-    elements = [frozenset(c.coefficients) for c in constraints]
+    """Unit-coefficient covering: branch on the hardest element.
+
+    Each element's frozenset is built through a dict, which sizes its
+    hash table up front; the set's iteration order breaks weight ties
+    among the branching options and in the greedy start.
+    """
+    elements = [frozenset(dict.fromkeys(row)) for row in live.supports()]
     candidates: Dict[int, Set[int]] = {}
     for e, support in enumerate(elements):
         for v in support:
@@ -649,14 +615,15 @@ def _greedy_unit_cover(
 
 
 def _solve_covering_bnb(
-    sub: CoveringInstance, constraints: Sequence[Constraint]
+    sub: CoveringInstance, live: CoveringInstance
 ) -> ExactSolution:
     """Generic covering branch-and-bound (arbitrary A, b >= 0)."""
-    variables = sorted({v for c in constraints for v in c.coefficients})
+    rows = entries_by_line(live.matrix)
+    variables = sorted({v for row in rows for v, _ in row})
     var_rows: Dict[int, List[Tuple[int, float]]] = {v: [] for v in variables}
-    bounds = [c.bound for c in constraints]
-    for j, c in enumerate(constraints):
-        for v, coeff in c.coefficients.items():
+    bounds = live.bounds.tolist()
+    for j, row in enumerate(rows):
+        for v, coeff in row:
             var_rows[v].append((j, coeff))
     # Upper bound: take everything (validated satisfiable by caller).
     best_set = set(variables)

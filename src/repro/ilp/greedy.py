@@ -9,13 +9,14 @@ objective-value baseline, not a LOCAL algorithm).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Optional, Sequence, Set, Tuple
 
 from repro.graphs.graph import Graph
 from repro.ilp.instance import (
     FEASIBILITY_TOL,
     CoveringInstance,
     PackingInstance,
+    entries_by_line,
 )
 
 
@@ -25,16 +26,13 @@ def greedy_packing(instance: PackingInstance) -> Set[int]:
     Runs in O(n log n + nnz); produces a maximal feasible solution.
     """
     usage = [0.0] * instance.m
-    rows: Dict[int, List[Tuple[int, float]]] = {}
-    for j, con in enumerate(instance.constraints):
-        for v, c in con.coefficients.items():
-            rows.setdefault(v, []).append((j, c))
+    rows = entries_by_line(instance.columns)
     chosen: Set[int] = set()
-    bounds = [con.bound for con in instance.constraints]
+    bounds = instance.bounds.tolist()
     for v in sorted(range(instance.n), key=lambda v: -instance.weights[v]):
         if instance.weights[v] <= 0:
             continue
-        entries = rows.get(v, [])
+        entries = rows[v]
         if all(usage[j] + c <= bounds[j] + FEASIBILITY_TOL for j, c in entries):
             chosen.add(v)
             for j, c in entries:
@@ -67,13 +65,10 @@ def greedy_covering(instance: CoveringInstance) -> Set[int]:
     coverage``; ln(m)-approximate for set cover and a safe upper bound
     everywhere.  Raises ``ValueError`` on unsatisfiable instances.
     """
-    deficits = [con.bound for con in instance.constraints]
-    rows: Dict[int, List[Tuple[int, float]]] = {}
-    for j, con in enumerate(instance.constraints):
-        for v, c in con.coefficients.items():
-            rows.setdefault(v, []).append((j, c))
+    deficits = instance.bounds.tolist()
+    rows = entries_by_line(instance.columns)
     chosen: Set[int] = set()
-    candidates = set(rows)
+    candidates = {v for v, entries in enumerate(rows) if entries}
 
     def gain(v: int) -> float:
         return sum(

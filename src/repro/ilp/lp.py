@@ -18,28 +18,11 @@ from __future__ import annotations
 from typing import Set, Tuple, Union
 
 import numpy as np
-from scipy import optimize, sparse
+from scipy import optimize
 
 from repro.ilp.instance import CoveringInstance, PackingInstance
 
 Instance = Union[PackingInstance, CoveringInstance]
-
-
-def _constraint_matrix(instance: Instance) -> Tuple[sparse.csr_matrix, np.ndarray]:
-    rows = []
-    cols = []
-    data = []
-    bounds = np.zeros(instance.m)
-    for j, con in enumerate(instance.constraints):
-        bounds[j] = con.bound
-        for v, c in con.coefficients.items():
-            rows.append(j)
-            cols.append(v)
-            data.append(c)
-    matrix = sparse.csr_matrix(
-        (data, (rows, cols)), shape=(instance.m, instance.n)
-    )
-    return matrix, bounds
 
 
 def lp_relaxation_value(instance: Instance) -> float:
@@ -48,7 +31,7 @@ def lp_relaxation_value(instance: Instance) -> float:
     For packing this is an upper bound on the ILP optimum; for covering
     a lower bound.  Raises ``RuntimeError`` if the LP solver fails.
     """
-    matrix, bounds = _constraint_matrix(instance)
+    matrix, bounds = instance.matrix, instance.bounds
     weights = np.asarray(instance.weights)
     if isinstance(instance, PackingInstance):
         res = optimize.linprog(
@@ -79,7 +62,7 @@ def milp_solve(instance: Instance) -> Tuple[float, Set[int]]:
     The production backend of :mod:`repro.ilp.exact` for subproblems
     above ``MILP_CUTOVER_*``, and the tests' cross-check oracle.
     """
-    matrix, bounds = _constraint_matrix(instance)
+    matrix, bounds = instance.matrix, instance.bounds
     weights = np.asarray(instance.weights)
     integrality = np.ones(instance.n)
     var_bounds = optimize.Bounds(0, 1)

@@ -130,10 +130,11 @@ class TestGrowAndCarveCovering:
             if not outcome.removed or outcome.removed == remaining:
                 continue
             rest = remaining - outcome.removed
-            for con in inst.constraints:
-                support = set(con.coefficients)
+            load = inst.load(outcome.fixed_ones)
+            for j, row in enumerate(inst.supports()):
+                support = set(row)
                 if support & outcome.removed and support & rest:
-                    assert con.value(outcome.fixed_ones) >= con.bound - 1e-9
+                    assert load[j] >= inst.bounds[j] - 1e-9
 
     def test_whole_component_removed_when_small(self):
         g = cycle_graph(5)

@@ -153,11 +153,7 @@ class TestCoveringBySparseCover:
             0.2,
             seed=2,
             fixed_ones=fixed,
-            edge_indices=[
-                j
-                for j, con in enumerate(inst.constraints)
-                if con.value(fixed) < con.bound
-            ],
+            edge_indices=np.flatnonzero(inst.load(fixed) < inst.bounds).tolist(),
         )
         assert inst.is_feasible(chosen | fixed)
         assert not (chosen & fixed)

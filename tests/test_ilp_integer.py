@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import solve_packing
-from repro.ilp import Constraint, solve_covering_exact, solve_packing_exact
+from repro.ilp import (
+    Constraint,
+    PackingInstance,
+    solve_covering_exact,
+    solve_packing_exact,
+)
 from repro.ilp.integer import (
     _bit_multipliers,
     integer_covering_to_binary,
@@ -52,17 +57,14 @@ class TestRoundTrip:
 
 class TestIntegerPacking:
     def brute_force(self, weights, constraints, uppers, sense):
+        rows = PackingInstance([0.0] * len(uppers), constraints)
         best = None
         for values in itertools.product(*(range(u + 1) for u in uppers)):
-            ok = True
-            for con in constraints:
-                lhs = sum(
-                    c * values[v] for v, c in con.coefficients.items()
-                )
-                if sense == "max" and lhs > con.bound + 1e-9:
-                    ok = False
-                if sense == "min" and lhs < con.bound - 1e-9:
-                    ok = False
+            lhs = rows.matrix @ np.asarray(values, dtype=np.float64)
+            if sense == "max":
+                ok = bool(np.all(lhs <= rows.bounds + 1e-9))
+            else:
+                ok = bool(np.all(lhs >= rows.bounds - 1e-9))
             if not ok:
                 continue
             objective = sum(w * x for w, x in zip(weights, values, strict=True))

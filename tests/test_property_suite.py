@@ -114,8 +114,8 @@ class TestCarveIsolation:
         center = int(rng.integers(0, g.n))
         outcome = grow_and_carve_packing(inst, g, [center], (4, 9), remaining)
         survivors = remaining - outcome.removed - outcome.deleted
-        for con in inst.constraints:
-            support = set(con.coefficients)
+        for row in inst.supports():
+            support = set(row)
             touches_zone = bool(support & outcome.removed)
             touches_rest = bool(support & survivors)
             if touches_zone and touches_rest:
