@@ -23,8 +23,7 @@ the paper depends on:
 * span tracing, counters and gauges — the only clock in the algorithm
   packages (:mod:`repro.obs`),
 * partitioned execution over simulated machines with per-round
-  communication metering (:mod:`repro.mpc`), and the shared-memory
-  worker plumbing beneath the parallel kernels (:mod:`repro.transport`),
+  communication metering (:mod:`repro.mpc`),
 * a content-addressed persistent artifact store (:mod:`repro.artifacts`)
   and the batched query front end over it (:mod:`repro.serve`),
 * repro-lint, the AST invariant checker for the determinism contract,

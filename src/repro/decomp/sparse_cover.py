@@ -149,8 +149,8 @@ def solve_covering_by_sparse_cover(
     within:
         Residual vertex set (variables still free).
     edge_indices:
-        Residual constraint indices to satisfy (default: all whose
-        support lies inside ``within``).
+        Residual constraint indices to satisfy (default: all with a
+        non-empty support inside ``within``).
     fixed_ones:
         Variables already committed to one; their contribution reduces
         the local bounds and they are excluded from the returned set.
@@ -158,35 +158,40 @@ def solve_covering_by_sparse_cover(
     Returns the selected variable set (excluding ``fixed_ones``) and
     the sparse cover used.
     """
-    hypergraph = instance.hypergraph()
     if within is None:
         within_set = set(range(instance.n))
     else:
         within_set = set(within)
     cover = sparse_cover(
-        hypergraph, lam, ntilde=ntilde, seed=seed, within=within_set
+        instance.hypergraph(), lam, ntilde=ntilde, seed=seed, within=within_set
     )
+    # Constraint supports, indexed like ``edge_indices`` and
+    # ``restrict_to_edges``: the hypergraph skips empty rows, so its
+    # hyperedge ``j`` need not be constraint ``j``.
+    supports = [frozenset(row) for row in instance.supports()]
     if edge_indices is None:
         edge_indices = [
             j
-            for j in range(hypergraph.m)
-            if hypergraph.edge(j) <= within_set
+            for j, support in enumerate(supports)
+            if support and support <= within_set
         ]
-    uncovered = verify_edge_coverage(hypergraph, cover, edge_indices)
-    require(
-        not uncovered,
-        f"sparse cover missed hyperedges {uncovered[:5]} — Lemma C.2 violated",
-    )
     cluster_sets = [frozenset(c) for c in cover.clusters]
-    # Assign every residual constraint to one covering cluster, then
-    # solve each cluster's sub-instance exactly and OR the solutions.
+    # Assign every residual constraint to the first cluster containing
+    # its support, then solve each cluster's sub-instance exactly and OR
+    # the solutions.
     by_cluster: Dict[int, List[int]] = {}
+    uncovered: List[int] = []
     for j in edge_indices:
-        edge = hypergraph.edge(j)
         for idx, cluster in enumerate(cluster_sets):
-            if edge <= cluster:
+            if supports[j] <= cluster:
                 by_cluster.setdefault(idx, []).append(j)
                 break
+        else:
+            uncovered.append(j)
+    require(
+        not uncovered,
+        f"sparse cover missed constraints {uncovered[:5]} — Lemma C.2 violated",
+    )
     chosen: Set[int] = set()
     for idx, edges in sorted(by_cluster.items()):
         sub = instance.restrict_to_edges(edges, fixed_ones=fixed_ones)

@@ -24,9 +24,10 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Ty
 #: determinism rules (RPL0xx) apply only here.  ``util.rng`` is the
 #: sanctioned entropy boundary and ``exp`` derives trial seeds through
 #: ``SeedSequence`` by construction; both live outside this set.
-#: ``mpc`` (partitions, round drivers, metering) and ``transport``
-#: (shared-memory plumbing) are clock- and RNG-free by contract — their
-#: rank-determinism suite depends on it — so they are in scope too.
+#: ``mpc`` (partitions, round drivers, metering) is clock- and RNG-free
+#: by contract — its rank-determinism suite depends on it — so it is in
+#: scope too, as is ``graphs.parallel``'s shared-memory plumbing under
+#: ``graphs``.
 #: ``artifacts`` (content-addressed store: keys must be canonical,
 #: replay must be bit-stable) and ``serve`` (clock-free query path over
 #: those artifacts) join the scope with the serving layer.
@@ -40,7 +41,6 @@ DETERMINISM_PACKAGES = frozenset(
         "local",
         "mpc",
         "serve",
-        "transport",
     }
 )
 

@@ -238,7 +238,6 @@ class CsrGraph:
     @classmethod
     def _from_shared_arrays(
         cls,
-        n: int,
         indptr: np.ndarray,
         indices: np.ndarray,
         padded: Optional[np.ndarray],
@@ -247,17 +246,17 @@ class CsrGraph:
 
         ``indptr``/``indices`` (and ``padded``, when the parent's
         skew check admitted the table) are zero-copy views of the
-        parent's :mod:`multiprocessing.shared_memory` segments; the
-        derived arrays are rebuilt locally in O(n + m).  ``padded=None``
-        replays the parent's decision to keep the segmented-reduceat
-        expansion, so every worker computes exactly what the serial
-        loop would.
+        parent's :mod:`multiprocessing.shared_memory` segments; ``n``
+        and ``nnz`` are read off them and the derived arrays are
+        rebuilt locally in O(n + m).  ``padded=None`` replays the
+        parent's decision to keep the segmented-reduceat expansion, so
+        every worker computes exactly what the serial loop would.
         """
         csr = object.__new__(cls)
         csr._init_from_arrays(
-            n, int(indptr[-1]) if n else 0, indptr, indices, np.diff(indptr)
+            len(indptr) - 1, len(indices), indptr, indices, np.diff(indptr)
         )
-        csr._padded = padded if padded is not None else None
+        csr._padded = padded
         return csr
 
     # ------------------------------------------------------------------

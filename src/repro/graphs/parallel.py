@@ -10,9 +10,9 @@ cores*.  This module does exactly that and nothing more:
 
 * the CSR arrays (``indptr``/``indices`` and, when eligible, the
   degree-padded adjacency table) are published once per graph through
-  :class:`repro.transport.SharedArrayExport` — workers attach by name
-  and rebuild a :class:`~repro.graphs.csr.CsrGraph` view with **zero
-  copies** of the adjacency structure;
+  :mod:`multiprocessing.shared_memory` — workers attach by name and
+  rebuild a :class:`~repro.graphs.csr.CsrGraph` view with **zero
+  copies** of the adjacency structure, kept in a bounded LRU cache;
 * worker processes live in cached :class:`ProcessPoolExecutor` pools
   (spawn context: no fork/threads hazards, portable start-up) and run
   the *identical* per-chunk kernel code the serial loop runs;
@@ -20,39 +20,41 @@ cores*.  This module does exactly that and nothing more:
   (and every other kernel output) are bit-identical to the serial path
   at any worker count.
 
-The generic plumbing — segment export/attach with the bounded LRU
-cache, the cached spawn pools, the ordered drain with cancel-on-error
-and broken-pool recovery — lives in :mod:`repro.transport`, whose only
-importer is this module; this module keeps only the CSR-specific glue:
-which arrays to publish, how to rebuild a graph from them, and the
-per-chunk kernel dispatch.
+Lifecycle contract (the RPL101 rule enforces the shape):
 
-Worker-count resolution (:func:`resolve_kernel_workers`, re-exported
-from :mod:`repro.transport`): an explicit ``kernel_workers=`` argument
-wins and is honoured as given (tests force 2/4 workers on 1-core boxes
-— oversubscription changes wall-clock, not results); otherwise the
-``REPRO_KERNEL_WORKERS`` environment variable provides the default,
-capped at ``os.cpu_count()``; unset means 1 (serial).  The
-:mod:`repro.exp` runner coordinates this knob with its trial sharding
-so ``trials x kernel_workers`` never oversubscribes the machine (see
-``runner.coordinate_parallelism``).
+* parent-side segment creation (:class:`_SharedExport`) cleans up
+  every already-created segment when a later allocation fails;
+* worker-side attachment (:func:`_attach`) closes every
+  already-attached segment when a later attach or the graph rebuild
+  fails, so a failed attach never leaks mappings for the life of the
+  worker;
+* a worker dying mid-task breaks its pool
+  (:class:`~concurrent.futures.process.BrokenProcessPool`); the
+  ordered drain (:func:`run_ordered`) then evicts the broken pool from
+  the cache so the *next* dispatch gets a fresh pool instead of
+  failing forever, and the parent's segments stay owned by the parent
+  (their ``weakref.finalize``/``close`` path still unlinks them — a
+  crashed worker cannot leak them).
+
+The worker count comes from :func:`resolve_kernel_workers`.
 """
 
 from __future__ import annotations
 
+import atexit
+import os
 import weakref
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from collections import OrderedDict
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+
+import multiprocessing as mp
 
 import numpy as np
 
 import repro.obs as _obs
-from repro.transport import (
-    KERNEL_WORKERS_ENV,
-    SharedArrayExport,
-    attach_shared,
-    resolve_kernel_workers,
-    run_ordered,
-)
+from repro.util.validation import require
 
 __all__ = [
     "KERNEL_WORKERS_ENV",
@@ -61,19 +63,97 @@ __all__ = [
     "shared_spec",
 ]
 
-#: Fields of a CsrGraph published through shared memory.  Everything
-#: else (`degrees`, `_gather_index`, `_starts`, `_zero_degree`) is
-#: derived from these in O(n + m) on first attach.
-_SHARED_FIELDS = ("indptr", "indices", "padded")
+#: Environment variable providing the default kernel worker count.
+KERNEL_WORKERS_ENV = "REPRO_KERNEL_WORKERS"
+
+#: How many distinct shared graphs a worker process keeps attached;
+#: least-recently-used attachments beyond this are detached.
+ATTACH_CACHE_SIZE = 4
+
+
+def resolve_kernel_workers(kernel_workers: Optional[int] = None) -> int:
+    """Resolve the effective kernel worker count (>= 1).
+
+    An explicit argument is validated and honoured as given — callers
+    that force 2 or 4 workers (determinism tests, benchmarks) get
+    exactly that many, cores notwithstanding.  ``None`` falls back to
+    the ``REPRO_KERNEL_WORKERS`` environment variable, auto-capped at
+    ``os.cpu_count()`` (a fleet-wide export can't oversubscribe a small
+    box); unset or unparsable means 1, the serial path.  The
+    :mod:`repro.exp` runner coordinates this knob with its trial
+    sharding so ``trials x kernel_workers`` never oversubscribes the
+    machine (see ``runner.coordinate_parallelism``).
+    """
+    if kernel_workers is not None:
+        require(
+            int(kernel_workers) >= 1,
+            f"kernel_workers must be >= 1, got {kernel_workers}",
+        )
+        return int(kernel_workers)
+    raw = os.environ.get(KERNEL_WORKERS_ENV, "").strip()
+    if not raw:
+        return 1
+    try:
+        value = int(raw)
+    except ValueError:
+        return 1
+    return max(1, min(value, os.cpu_count() or 1))
+
+
+# ----------------------------------------------------------------------
+# Parent side: shared-memory export of a graph's CSR arrays
+# ----------------------------------------------------------------------
+
+
+class _SharedExport:
+    """Parent-side owner of one set of shared-memory array segments.
+
+    ``spec`` is the picklable description workers attach from:
+    ``{"token", "arrays": {field: (shm_name, dtype_str, shape)}}``.
+    The owner controls the lifetime: :meth:`close` unlinks the
+    segments (:func:`shared_spec` registers it with
+    ``weakref.finalize``).
+    """
+
+    def __init__(self, arrays: Mapping[str, np.ndarray]) -> None:
+        from multiprocessing import shared_memory
+
+        self.segments: List[Any] = []
+        spec_arrays: Dict[str, Tuple[str, str, Tuple[int, ...]]] = {}
+        try:
+            for field, raw in arrays.items():
+                arr = np.ascontiguousarray(raw)
+                shm = shared_memory.SharedMemory(
+                    create=True, size=max(1, arr.nbytes)
+                )
+                view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
+                view[...] = arr
+                self.segments.append(shm)
+                spec_arrays[field] = (shm.name, arr.dtype.str, arr.shape)
+        except BaseException:
+            self.close()
+            raise
+        self.spec: Dict[str, Any] = {
+            "token": self.segments[0].name,
+            "arrays": spec_arrays,
+        }
+
+    def close(self) -> None:
+        for shm in self.segments:
+            try:
+                shm.close()
+                shm.unlink()
+            except OSError:
+                pass
+        self.segments = []
 
 
 def shared_spec(csr) -> Dict[str, Any]:
     """The (cached) shared-memory spec of a :class:`CsrGraph`.
 
-    ``spec`` keeps its historical shape — ``{"token", "n", "nnz",
-    "has_padded", "arrays": {field: (shm_name, dtype_str, shape)}}`` —
-    with the export itself handled by
-    :class:`repro.transport.SharedArrayExport`.  The export lives as
+    ``spec["arrays"]`` holds ``indptr``, ``indices`` and, when the
+    graph's skew check admitted it, ``padded``; ``n`` and ``nnz`` are
+    read off ``indptr``/``indices`` on attach.  The export lives as
     long as its :class:`CsrGraph` (a ``weakref.finalize`` unlinks the
     segments when the graph is collected or the interpreter exits).
     """
@@ -89,32 +169,146 @@ def shared_spec(csr) -> Dict[str, Any]:
         padded = csr._padded_adjacency()
         if padded is not None:
             arrays["padded"] = padded
-        export = SharedArrayExport(
-            arrays,
-            meta={
-                "n": csr.n,
-                "nnz": csr.nnz,
-                "has_padded": padded is not None,
-            },
-        )
+        export = _SharedExport(arrays)
         csr._shared = export
         weakref.finalize(csr, export.close)
     return export.spec
 
 
+# ----------------------------------------------------------------------
+# Worker side: attach (LRU-cached) and rebuild the graph
+# ----------------------------------------------------------------------
+
+_ATTACHED: "OrderedDict[str, Tuple[Any, list]]" = OrderedDict()
+
+
+def _detach(shms: list) -> None:
+    for shm in shms:
+        try:
+            shm.close()
+        except OSError:
+            pass
+
+
 def _attach(spec: Dict[str, Any]):
-    """Worker-side CsrGraph over the parent's shared arrays (cached)."""
+    """Worker-side CsrGraph over the parent's shared arrays.
+
+    The graph is cached per spec token (bounded LRU of
+    :data:`ATTACH_CACHE_SIZE`) so repeat tasks over the same export
+    skip the attach entirely.
+    """
+    token = spec["token"]
+    cached = _ATTACHED.get(token)
+    if cached is not None:
+        _ATTACHED.move_to_end(token)
+        return cached[0]
+    from multiprocessing import shared_memory
+
     from repro.graphs.csr import CsrGraph
 
-    def build(arrays: Dict[str, np.ndarray]):
-        return CsrGraph._from_shared_arrays(
-            spec["n"],
-            arrays["indptr"],
-            arrays["indices"],
-            arrays.get("padded"),
+    arrays: Dict[str, np.ndarray] = {}
+    shms: list = []
+    try:
+        for field, (name, dtype, shape) in spec["arrays"].items():
+            # Attaching registers with the resource tracker too (no
+            # ``track=False`` before 3.13) — harmless here: spawned workers
+            # inherit the parent's tracker process, whose cache is a set,
+            # so the parent's registration stays the single entry and the
+            # parent's unlink is the single removal.
+            shm = shared_memory.SharedMemory(name=name)
+            shms.append(shm)
+            arrays[field] = np.ndarray(
+                tuple(shape), dtype=np.dtype(dtype), buffer=shm.buf
+            )
+        csr = CsrGraph._from_shared_arrays(
+            arrays["indptr"], arrays["indices"], arrays.get("padded")
         )
+    except BaseException:
+        # A failed attach mid-loop (segment gone after a parent exit,
+        # ENOMEM mapping a view) must not leave the earlier segments
+        # mapped in this worker for the life of the process.
+        for shm in shms:
+            try:
+                shm.close()
+            except OSError:
+                pass
+        raise
+    while len(_ATTACHED) >= ATTACH_CACHE_SIZE:
+        _detach(_ATTACHED.popitem(last=False)[1][1])
+    _ATTACHED[token] = (csr, shms)
+    return csr
 
-    return attach_shared(spec, build)
+
+# ----------------------------------------------------------------------
+# Pools and ordered dispatch
+# ----------------------------------------------------------------------
+
+_POOLS: Dict[int, ProcessPoolExecutor] = {}
+
+
+def _init_worker() -> None:
+    """Pin workers to serial kernel execution.
+
+    Spawned workers inherit the parent's environment; without this, an
+    exported ``REPRO_KERNEL_WORKERS`` would make every worker try to
+    open its *own* nested pool inside the chunked kernels.
+    """
+    os.environ[KERNEL_WORKERS_ENV] = "1"
+
+
+@atexit.register
+def _shutdown_pools() -> None:
+    for pool in _POOLS.values():
+        pool.shutdown(wait=False, cancel_futures=True)
+    _POOLS.clear()
+
+
+def run_ordered(
+    workers: int,
+    fn: Callable[..., Any],
+    tasks: Sequence[Tuple[Any, ...]],
+) -> List[Any]:
+    """Fan argument tuples out over ``workers`` processes, in order.
+
+    The pool of exactly ``workers`` processes is cached, so the
+    interpreter start-up cost is paid once per worker count; the spawn
+    context keeps worker start-up independent of the parent's thread
+    state (numpy pools, pytest plugins) and matches the default on
+    every platform from 3.14 on.
+
+    Results come back in task order.  On an escaping exception — a
+    worker fault, or a trial-timeout signal interrupting ``result()``
+    — pending tasks are cancelled so they cannot queue ahead of the
+    next caller's work; when the pool itself died
+    (:class:`BrokenProcessPool`), it is also shut down and evicted from
+    the cache so the next dispatch gets a fresh pool instead of
+    resubmitting into the carcass.
+    """
+    pool = _POOLS.get(workers)
+    if pool is None:
+        pool = ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=mp.get_context("spawn"),
+            initializer=_init_worker,
+        )
+        _POOLS[workers] = pool
+    futures: List[Any] = []
+    try:
+        for task in tasks:
+            futures.append(pool.submit(fn, *task))
+        return [future.result() for future in futures]
+    except BaseException as exc:
+        for future in futures:
+            future.cancel()
+        if isinstance(exc, BrokenProcessPool):
+            _POOLS.pop(workers, None)
+            pool.shutdown(wait=False, cancel_futures=True)
+        raise
+
+
+# ----------------------------------------------------------------------
+# Kernel chunks
+# ----------------------------------------------------------------------
 
 
 def _run_kernel_chunk(spec: Dict[str, Any], kind: str, common: tuple, payload):
@@ -185,8 +379,7 @@ def run_chunk_tasks(
     where the serial loop would have written them, which is what makes
     the parallel path bit-identical at any worker count.  Dispatch,
     cancellation on an escaping exception (worker fault, trial-timeout
-    signal) and broken-pool recovery are
-    :func:`repro.transport.run_ordered`'s.
+    signal) and broken-pool recovery are :func:`run_ordered`'s.
 
     When this process is tracing (:func:`repro.obs.enabled`), workers
     trace their chunks too and the parent absorbs their span/counter

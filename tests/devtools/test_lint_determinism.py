@@ -6,8 +6,11 @@ local}``) is exercised exactly as it is on the real tree.
 """
 
 import textwrap
+from pathlib import Path
 
+import repro
 from repro.devtools.lint import lint_sources
+from repro.devtools.lint.engine import DETERMINISM_PACKAGES
 
 LIB = "src/repro/core/fixture.py"
 EXEMPT = "src/repro/exp/fixture.py"
@@ -40,14 +43,23 @@ class TestStdlibRandom:
     def test_ilp_mwu_solver_tier_is_in_scope(self):
         # The certified MWU tier lives at repro/ilp/mwu.py; "ilp" in
         # DETERMINISM_PACKAGES must keep its whole subtree covered.
-        from repro.devtools.lint.engine import DETERMINISM_PACKAGES
-
         assert "ilp" in DETERMINISM_PACKAGES
         assert "RPL001" in codes("import random\n", path="src/repro/ilp/mwu.py")
         assert "RPL003" in codes(
             "import numpy as np\nrng = np.random.default_rng()\n",
             path="src/repro/ilp/mwu.py",
         )
+
+
+class TestScope:
+    def test_every_scoped_package_exists(self):
+        # A deleted or renamed package must not leave a stale scope
+        # entry behind.
+        root = Path(repro.__file__).parent
+        missing = sorted(
+            pkg for pkg in DETERMINISM_PACKAGES if not (root / pkg).is_dir()
+        )
+        assert missing == []
 
 
 class TestNumpyGlobalState:

@@ -21,6 +21,8 @@ from repro.graphs import (
     path_graph,
 )
 from repro.ilp import (
+    Constraint,
+    CoveringInstance,
     min_dominating_set_ilp,
     min_vertex_cover_ilp,
     set_cover_ilp,
@@ -157,6 +159,20 @@ class TestCoveringBySparseCover:
         )
         assert inst.is_feasible(chosen | fixed)
         assert not (chosen & fixed)
+
+    def test_empty_row_does_not_shift_constraint_indices(self):
+        # The hypergraph skips the empty row, so its hyperedge j is
+        # constraint j + 1; the solver must index constraints.
+        inst = CoveringInstance(
+            [1, 5, 1, 5],
+            [
+                Constraint({}, 0.0),
+                Constraint({0: 1, 1: 1}, 1),
+                Constraint({2: 1, 3: 1}, 1),
+            ],
+        )
+        chosen, _ = solve_covering_by_sparse_cover(inst, 0.5, seed=1)
+        assert inst.is_feasible(chosen)
 
 
 class TestFloodReference:

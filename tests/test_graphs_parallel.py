@@ -77,8 +77,9 @@ class TestSharedExport:
         csr = grid_graph(6, 6).csr()
         spec = parallel.shared_spec(csr)
         assert parallel.shared_spec(csr) is spec
-        assert spec["n"] == csr.n and spec["nnz"] == csr.nnz
         assert set(spec["arrays"]) >= {"indptr", "indices"}
+        rebuilt = parallel._attach(spec)
+        assert rebuilt.n == csr.n and rebuilt.nnz == csr.nnz
 
     def test_worker_side_reconstruction_matches(self):
         csr = random_regular(60, 3, np.random.default_rng(0)).csr()
@@ -98,7 +99,8 @@ class TestSharedExport:
         csr = hub_and_spokes(2, 80).csr()
         assert csr._padded_adjacency() is None
         spec = parallel.shared_spec(csr)
-        assert spec["has_padded"] is False and "padded" not in spec["arrays"]
+        assert "padded" not in spec["arrays"]
+        assert parallel._attach(spec)._padded_adjacency() is None
 
 
 @pytest.mark.parametrize("workers", [2, 4])

@@ -1,10 +1,10 @@
-"""Lifecycle and crash-robustness tests for ``repro.transport``.
+"""Lifecycle and crash-robustness tests for the shared-memory transport
+of :mod:`repro.graphs.parallel`.
 
-The contract under test (ISSUE 8, extending the RPL101 lifecycle rule
-to the extracted plumbing): shared-memory segments never outlive their
-parent-side owner — not when a later allocation fails mid-export, not
-when a later attach fails mid-loop, and not when a worker process dies
-mid-chunk.  A broken pool must also heal: the next dispatch after a
+The contract under test (the runtime side of the RPL101 lifecycle
+rule): shared-memory segments never outlive their parent-side owner —
+not when a later allocation fails mid-export, not when a later attach
+fails mid-loop, and not when a worker process dies mid-chunk.  A broken pool must also heal: the next dispatch after a
 :class:`BrokenProcessPool` gets a fresh pool, not the carcass.
 """
 
@@ -16,9 +16,8 @@ import numpy as np
 import pytest
 from concurrent.futures.process import BrokenProcessPool
 
-import repro.transport as transport
 from repro.graphs import parallel
-from repro.graphs.generators import random_regular
+from repro.graphs.generators import grid_graph, random_regular
 
 
 def _double(x):
@@ -46,7 +45,7 @@ class TestExportLifecycle:
         real = shared_memory.SharedMemory
 
         def spy(*args, **kwargs):
-            # Cleanup-on-failure is owned by the SharedArrayExport under
+            # Cleanup-on-failure is owned by the _SharedExport under
             # test; the spy only records the created names.
             shm = real(*args, **kwargs)  # repro-lint: disable=RPL101
             created.append(shm.name)
@@ -59,20 +58,22 @@ class TestExportLifecycle:
                 raise RuntimeError("allocation boom")
 
         with pytest.raises(RuntimeError, match="allocation boom"):
-            transport.SharedArrayExport(
+            parallel._SharedExport(
                 {"good": np.arange(16, dtype=np.int64), "bad": Boom()}
             )
         assert created, "first segment should have been allocated"
         _segments_gone(created)
 
-    def test_meta_keys_cannot_shadow_the_spec(self):
-        with pytest.raises(ValueError, match="reserved"):
-            transport.SharedArrayExport(
-                {"a": np.arange(3)}, meta={"arrays": {}}
-            )
+    def test_spec_is_only_token_and_arrays(self):
+        # Sizes and flags are read off the arrays on attach; nothing
+        # else rides in the spec.
+        csr = grid_graph(4, 5).csr()
+        spec = parallel.shared_spec(csr)
+        assert set(spec) == {"token", "arrays"}
+        assert spec["token"] == spec["arrays"]["indptr"][0]
 
     def test_close_is_idempotent(self):
-        export = transport.SharedArrayExport({"a": np.arange(5)})
+        export = parallel._SharedExport({"a": np.arange(5)})
         names = [shm.name for shm in export.segments]
         export.close()
         export.close()
@@ -81,44 +82,43 @@ class TestExportLifecycle:
 
 class TestAttachLifecycle:
     def test_failed_attach_leaves_no_mapping_and_no_cache_entry(self):
-        export = transport.SharedArrayExport(
-            {"a": np.arange(8, dtype=np.int64), "b": np.ones(3)}
-        )
+        csr = grid_graph(3, 4).csr()
+        spec = parallel.shared_spec(csr)
         try:
-            broken = dict(export.spec)
+            broken = dict(spec)
             arrays = dict(broken["arrays"])
-            _name, dtype, shape = arrays["b"]
-            arrays["b"] = ("psm_repro_no_such_segment", dtype, shape)
+            _name, dtype, shape = arrays["indices"]
+            arrays["indices"] = ("psm_repro_no_such_segment", dtype, shape)
             broken["arrays"] = arrays
             with pytest.raises(FileNotFoundError):
-                transport.attach_shared(broken, dict)
-            assert broken["token"] not in transport._ATTACHED
+                parallel._attach(broken)
+            assert broken["token"] not in parallel._ATTACHED
             # The export is intact: a subsequent good attach succeeds.
-            built = transport.attach_shared(export.spec, dict)
-            assert np.array_equal(built["a"], np.arange(8))
+            built = parallel._attach(spec)
+            assert np.array_equal(built.indptr, csr.indptr)
         finally:
-            entry = transport._ATTACHED.pop(export.spec["token"], None)
+            entry = parallel._ATTACHED.pop(spec["token"], None)
             if entry is not None:
-                transport._detach(entry)
-            export.close()
+                parallel._detach(entry[1])
+            csr._shared.close()
 
     def test_cache_evicts_least_recently_used(self):
-        exports = [
-            transport.SharedArrayExport({"a": np.full(4, i)})
-            for i in range(transport.ATTACH_CACHE_SIZE + 1)
+        graphs = [
+            grid_graph(3, 3 + i).csr()
+            for i in range(parallel.ATTACH_CACHE_SIZE + 1)
         ]
+        tokens = [parallel.shared_spec(csr)["token"] for csr in graphs]
         try:
-            tokens = [e.spec["token"] for e in exports]
-            for e in exports:
-                transport.attach_shared(e.spec, dict)
-            assert tokens[0] not in transport._ATTACHED
-            assert all(t in transport._ATTACHED for t in tokens[1:])
+            for csr in graphs:
+                parallel._attach(parallel.shared_spec(csr))
+            assert tokens[0] not in parallel._ATTACHED
+            assert all(t in parallel._ATTACHED for t in tokens[1:])
         finally:
-            for e in exports:
-                entry = transport._ATTACHED.pop(e.spec["token"], None)
+            for token, csr in zip(tokens, graphs):
+                entry = parallel._ATTACHED.pop(token, None)
                 if entry is not None:
-                    transport._detach(entry)
-                e.close()
+                    parallel._detach(entry[1])
+                csr._shared.close()
 
 
 class TestCrashRecovery:
@@ -126,17 +126,17 @@ class TestCrashRecovery:
         csr = random_regular(60, 3, np.random.default_rng(0)).csr()
         spec = parallel.shared_spec(csr)
         with pytest.raises(BrokenProcessPool):
-            transport.run_ordered(2, _attach_and_die, [(spec,), (spec,)])
+            parallel.run_ordered(2, _attach_and_die, [(spec,), (spec,)])
         # The broken pool was evicted, so the next dispatch rebuilds a
         # fresh one instead of resubmitting into the carcass.
-        assert 2 not in transport._POOLS
-        assert transport.run_ordered(2, _double, [(1,), (21,)]) == [2, 42]
+        assert 2 not in parallel._POOLS
+        assert parallel.run_ordered(2, _double, [(1,), (21,)]) == [2, 42]
 
     def test_kernels_recover_after_a_worker_crash(self):
         csr = random_regular(60, 3, np.random.default_rng(1)).csr()
         serial = csr.all_ball_sizes(3, chunk_size=13)
         with pytest.raises(BrokenProcessPool):
-            transport.run_ordered(
+            parallel.run_ordered(
                 2, _attach_and_die, [(parallel.shared_spec(csr),)]
             )
         sharded = csr.all_ball_sizes(3, chunk_size=13, kernel_workers=2)
@@ -151,7 +151,7 @@ class TestCrashRecovery:
         spec = parallel.shared_spec(csr)
         names = [shm.name for shm in csr._shared.segments]
         with pytest.raises(BrokenProcessPool):
-            transport.run_ordered(2, _attach_and_die, [(spec,)])
+            parallel.run_ordered(2, _attach_and_die, [(spec,)])
         del spec, csr
         gc.collect()
         _segments_gone(names)
@@ -159,12 +159,5 @@ class TestCrashRecovery:
 
 class TestRunOrdered:
     def test_results_come_back_in_task_order(self):
-        out = transport.run_ordered(2, _double, [(i,) for i in range(7)])
+        out = parallel.run_ordered(2, _double, [(i,) for i in range(7)])
         assert out == [2 * i for i in range(7)]
-
-    def test_reexports_reach_the_kernel_layer(self):
-        # The extraction keeps repro.graphs.parallel as the public
-        # surface the runner/CLI import from.
-        assert parallel.KERNEL_WORKERS_ENV == transport.KERNEL_WORKERS_ENV
-        assert parallel.resolve_kernel_workers is transport.resolve_kernel_workers
-        assert parallel.run_ordered is transport.run_ordered
