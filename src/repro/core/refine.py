@@ -60,7 +60,7 @@ def refine_decomposition(
     ledger.merge(decomposition.ledger)
     max_cluster_diameter = 0.0
     for idx, cluster in enumerate(decomposition.clusters):
-        diameter = graph.weak_diameter(cluster)
+        diameter = graph.csr().weak_diameter(cluster)
         max_cluster_diameter = max(max_cluster_diameter, diameter)
         if diameter <= target:
             new_clusters.append(set(cluster))

@@ -43,9 +43,8 @@ class NetworkDecomposition:
         ]
 
     def max_weak_diameter(self, graph: Graph) -> float:
-        return max(
-            (graph.weak_diameter(c) for c in self.clusters), default=0.0
-        )
+        csr = graph.csr()
+        return max((csr.weak_diameter(c) for c in self.clusters), default=0.0)
 
 
 def validate_network_decomposition(

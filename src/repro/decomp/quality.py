@@ -8,7 +8,7 @@ fractions, diameter budgets, failure counts).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from repro.decomp.types import Decomposition
 from repro.graphs.graph import Graph
@@ -30,13 +30,9 @@ def summarize_decomposition(
     graph: Graph,
     decomposition: Decomposition,
     validate: bool = True,
-    n_override: Optional[int] = None,
 ) -> LddTrialSummary:
-    """Validate and summarize one LDD output.
-
-    ``n_override`` supports decompositions of a residual subset (the
-    fraction is then measured against the subset size).
-    """
+    """Validate and summarize one LDD output; the unclustered fraction
+    is measured against the vertices the decomposition covers."""
     if validate:
         covered = decomposition.clustered_vertices() | decomposition.deleted
         sub, mapping = graph.induced_subgraph(covered)
@@ -49,9 +45,7 @@ def summarize_decomposition(
     stats = decomposition_stats(
         graph, decomposition.clusters, decomposition.deleted
     )
-    n = n_override if n_override is not None else (
-        len(decomposition.clustered_vertices()) + len(decomposition.deleted)
-    )
+    n = len(decomposition.clustered_vertices()) + len(decomposition.deleted)
     fraction = len(decomposition.deleted) / n if n else 0.0
     return LddTrialSummary(
         unclustered_fraction=fraction,

@@ -45,16 +45,17 @@ def _within_one_members(
     one per-source decrement table.  A source ``d`` hops from ``v``
     qualifies only if ``shift_u − d ≥ best_v − 1 ≥ shift_v − 1``, so
     only ``d ≤ max shift − min shift + 1`` matters: the BFS and the
-    table stop at ``cap = ⌊max shift − min shift⌋ + 2``.  Materializes
-    the ``|within| x n`` distance matrix — fine at covering-instance
-    scale, not meant for the 10^5-vertex regime.
+    table stop at ``cap = ⌊max shift − min shift⌋ + 2``.  The sweep
+    reads only the ``vertices`` columns, so it holds a ``|vertices|²``
+    matrix, never a ``|vertices| x n`` one; with ``within`` all of V
+    that is still n², which keeps it at covering-instance scale.
     """
     src = np.fromiter(vertices, dtype=np.int64)
     if src.size == 0:
         return {}
     shift_arr = np.asarray([shifts[int(u)] for u in src], dtype=np.float64)
     cap = int(shift_arr.max() - shift_arr.min()) + 2
-    dist = graph.csr().distances_from(src, radius=cap, within=within)[:, src]
+    dist = graph.csr().distances_from(src, radius=cap, within=within, targets=src)
     decrements = np.empty((src.size, cap + 1), dtype=np.float64)
     decrements[:, 0] = shift_arr
     for hop in range(1, cap + 1):

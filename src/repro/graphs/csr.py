@@ -17,7 +17,11 @@ amortize the traversal across all sources simultaneously:
 * :meth:`CsrGraph.bfs_distances` — single multi-source BFS with a
   sparse (index-array) frontier; work is proportional to the edges
   incident to the frontier, like the pure-Python BFS, but at C speed.
-* :meth:`CsrGraph.distances_from` — batched distance matrix.
+* :meth:`CsrGraph.distances_from` — batched distance matrix, full rows
+  or only the ``targets`` columns; with targets a chunk stops once
+  every source has reached every target, so pairwise questions
+  (:meth:`CsrGraph.weak_diameter`, the sparse-cover membership) cost
+  the subset's own depth, not the graph's.
 * :meth:`CsrGraph.power` / :meth:`CsrGraph.connected_components` /
   :meth:`CsrGraph.weak_diameter` — vectorized versions of the
   corresponding :class:`~repro.graphs.graph.Graph` methods.
@@ -96,6 +100,18 @@ def _column_weights(packed: np.ndarray, weights: Optional[np.ndarray]) -> np.nda
         ).reshape(cols.shape[1], 256)
         totals[8 * lo : 8 * (lo + cols.shape[1])] = (hist @ _BYTE_BITS).ravel()
     return totals
+
+
+def _vertex_ids(ids: Iterable[int], n: int, what: str = "sources") -> np.ndarray:
+    """``ids`` as an int64 array, checked to be vertices of an n-vertex
+    graph: the range check behind every kernel's sources, targets and
+    ``within``."""
+    arr = np.fromiter(ids, dtype=np.int64)
+    require(
+        not arr.size or (arr.min() >= 0 and arr.max() < n),
+        f"out-of-range vertices in {what}",
+    )
+    return arr
 
 
 class _PackedSweep:
@@ -276,13 +292,7 @@ class CsrGraph:
             require(len(within) == self.n, "mask must have one entry per vertex")
             return within
         mask = np.zeros(self.n, dtype=bool)
-        idx = np.fromiter(within, dtype=np.int64)
-        if idx.size:
-            require(
-                idx.min() >= 0 and idx.max() < self.n,
-                "within contains out-of-range vertices",
-            )
-            mask[idx] = True
+        mask[_vertex_ids(within, self.n, "within")] = True
         return mask
 
     def _neighbors_of(self, frontier: np.ndarray) -> np.ndarray:
@@ -377,13 +387,7 @@ class CsrGraph:
         require(radius is None or radius >= 0, "radius must be >= 0")
         mask = self.residual_mask(within)
         dist = np.full(self.n, -1, dtype=np.int64)
-        src = np.fromiter(sources, dtype=np.int64)
-        if src.size:
-            require(
-                src.min() >= 0 and src.max() < self.n,
-                "sources contain out-of-range vertices",
-            )
-        src = np.unique(src)
+        src = np.unique(_vertex_ids(sources, self.n))
         if mask is not None:
             src = src[mask[src]]
         if src.size == 0:
@@ -432,12 +436,7 @@ class CsrGraph:
         if sources is None:
             src = np.arange(self.n, dtype=np.int64)
         else:
-            src = np.fromiter(sources, dtype=np.int64)
-            if src.size:
-                require(
-                    src.min() >= 0 and src.max() < self.n,
-                    "sources contain out-of-range vertices",
-                )
+            src = _vertex_ids(sources, self.n)
         w = None if weights is None else np.asarray(weights, dtype=np.float64)
         require(w is None or len(w) == self.n, "need one weight per vertex")
         sizes = np.zeros(len(src), dtype=np.float64)
@@ -731,11 +730,17 @@ class CsrGraph:
         within: Optional[Iterable[int]] = None,
         chunk_size: Optional[int] = None,
         kernel_workers: Optional[int] = None,
+        targets: Optional[Iterable[int]] = None,
     ) -> np.ndarray:
         """Batched per-source distances: (S, n) int64, −1 unreached.
 
         Row ``j`` is the single-source BFS distance vector of
-        ``sources[j]`` (restricted to ``within`` when given).
+        ``sources[j]`` (restricted to ``within`` when given).  With
+        ``targets``, the result is the (S, T) block of those columns, in
+        the given order (repeats allowed), and each source chunk stops
+        as soon as every lane has reached every target it can reach
+        inside ``within`` — a weak-diameter query on a short arc of a
+        long cycle sweeps the arc's levels, not the cycle's.
         ``kernel_workers`` shards source chunks over worker processes;
         distances are exact integers independent of chunk boundaries,
         so the matrix is bit-identical at any worker count (a default
@@ -744,13 +749,10 @@ class CsrGraph:
         """
         require(radius is None or radius >= 0, "radius must be >= 0")
         mask = self.residual_mask(within)
-        src = np.fromiter(sources, dtype=np.int64)
-        if src.size:
-            require(
-                src.min() >= 0 and src.max() < self.n,
-                "sources contain out-of-range vertices",
-            )
-        dist = np.full((len(src), self.n), -1, dtype=np.int64)
+        src = _vertex_ids(sources, self.n)
+        tgt = None if targets is None else _vertex_ids(targets, self.n, "targets")
+        width = self.n if tgt is None else len(tgt)
+        dist = np.full((len(src), width), -1, dtype=np.int64)
         chunk = self._chunk_width(chunk_size)
         workers = _parallel.resolve_kernel_workers(kernel_workers)
         if workers > 1 and chunk_size is None and src.size:
@@ -764,7 +766,7 @@ class CsrGraph:
                     self,
                     "dist",
                     [s_chunk for _, s_chunk in chunks],
-                    (radius, mask),
+                    (radius, mask, tgt),
                     workers,
                 )
                 for (lo, s_chunk), block in zip(chunks, results, strict=True):
@@ -774,7 +776,7 @@ class CsrGraph:
                 if len(s_chunk):
                     with _obs.span("csr.distances_chunk"):
                         dist[lo : lo + len(s_chunk)] = self._distances_chunk(
-                            s_chunk, radius, mask
+                            s_chunk, radius, mask, tgt
                         )
             return dist
 
@@ -783,21 +785,39 @@ class CsrGraph:
         s_chunk: np.ndarray,
         radius: Optional[int],
         mask: Optional[np.ndarray],
+        targets: Optional[np.ndarray],
     ) -> np.ndarray:
-        """Distance rows of one source chunk: (len(s_chunk), n) int64."""
+        """Distance rows of one source chunk: (len(s_chunk), n) int64, or
+        its ``targets`` columns.
+
+        With ``targets``, ``left`` counts the (lane, target) pairs still
+        unreached among those that can be reached at all (seeded lanes,
+        targets inside the mask); the sweep stops when it hits zero,
+        since no later level could write a column.
+        """
         count = len(s_chunk)
-        block = np.full((count, self.n), -1, dtype=np.int64)
         visited = self._seed_packed(s_chunk, count, mask)
         sweep = _PackedSweep(self, visited.shape[1])
-        block[self._unpack(visited, count).T] = 0
+        cols = slice(None) if targets is None else targets
+        hit = self._unpack(visited[cols], count).T
+        block = np.full(hit.shape, -1, dtype=np.int64)
+        block[hit] = 0
+        left = None
+        if targets is not None:
+            lanes = count if mask is None else np.count_nonzero(mask[s_chunk])
+            live = len(targets) if mask is None else np.count_nonzero(mask[targets])
+            left = int(lanes * live - np.count_nonzero(hit))
         frontier = visited.copy()
         r = 0
-        while radius is None or r < radius:
+        while left != 0 and (radius is None or r < radius):
             new = sweep.expand(frontier, visited, mask)
             if not new.any():
                 break
             r += 1
-            block[self._unpack(new, count).T] = r
+            hit = self._unpack(new[cols], count).T
+            block[hit] = r
+            if left is not None:
+                left -= int(np.count_nonzero(hit))
             frontier = new
         return block
 
@@ -928,11 +948,12 @@ class CsrGraph:
     def weak_diameter(
         self, subset: Iterable[int], kernel_workers: Optional[int] = None
     ) -> float:
-        """``max_{u,v in subset} dist_G(u, v)`` in the full graph."""
+        """``max_{u,v in subset} dist_G(u, v)`` in the full graph: one
+        :meth:`distances_from` sweep with the subset as its targets."""
         vs = sorted(set(subset))
         if len(vs) <= 1:
             return 0
-        dist = self.distances_from(vs, kernel_workers=kernel_workers)[:, vs]
+        dist = self.distances_from(vs, kernel_workers=kernel_workers, targets=vs)
         if (dist < 0).any():
             return float("inf")
         return float(dist.max())

@@ -107,9 +107,6 @@ class Hypergraph:
     ) -> List[Set[int]]:
         return self.primal_graph().bfs_layers(sources, radius)
 
-    def weak_diameter(self, subset: Iterable[int]) -> float:
-        return self.primal_graph().weak_diameter(subset)
-
     def connected_components(
         self, within: Optional[Iterable[int]] = None
     ) -> List[Set[int]]:

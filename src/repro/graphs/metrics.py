@@ -62,15 +62,14 @@ class DecompositionStats:
     """Summary of a low-diameter decomposition's quality.
 
     Attributes mirror Definition 1.4: number of clusters, fraction of
-    unclustered ("deleted") vertices, and the maximum weak and strong
-    diameters across clusters.
+    unclustered ("deleted") vertices, and the maximum weak diameter
+    across clusters.
     """
 
     n: int
     num_clusters: int
     unclustered: int
     max_weak_diameter: float
-    max_strong_diameter: float
     max_cluster_size: int
 
     @property
@@ -82,30 +81,23 @@ def decomposition_stats(
     graph: Graph,
     clusters: Sequence[Set[int]],
     deleted: Set[int],
-    compute_strong: bool = False,
 ) -> DecompositionStats:
     """Measure a decomposition against Definition 1.4.
 
-    ``compute_strong`` also evaluates strong (induced) diameters, which
-    is quadratic-ish and off by default.  Each cluster's diameters come
-    from one batched CSR distance sweep.
+    Each cluster's weak diameter comes from one batched CSR distance
+    sweep that stops once the cluster's own pairs are covered.
     """
     csr = graph.csr()
     max_weak = 0.0
-    max_strong = 0.0
     max_size = 0
     for cluster in clusters:
         max_size = max(max_size, len(cluster))
         max_weak = max(max_weak, csr.weak_diameter(cluster))
-        if compute_strong:
-            sub, _ = graph.induced_subgraph(cluster)
-            max_strong = max(max_strong, sub.csr().diameter())
     return DecompositionStats(
         n=graph.n,
         num_clusters=len(clusters),
         unclustered=len(deleted),
         max_weak_diameter=max_weak,
-        max_strong_diameter=max_strong if compute_strong else float("nan"),
         max_cluster_size=max_size,
     )
 

@@ -330,8 +330,8 @@ def _run_kernel_chunk(spec: Dict[str, Any], kind: str, common: tuple, payload):
         )
         return sizes, depths
     if kind == "dist":
-        radius, mask = common
-        return csr._distances_chunk(payload, radius, mask)
+        radius, mask, targets = common
+        return csr._distances_chunk(payload, radius, mask, targets)
     if kind == "ecc":
         lo, hi = payload
         return csr._ecc_chunk(lo, hi)

@@ -44,7 +44,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 import repro.obs as _obs
-from repro.graphs.csr import _column_weights
+from repro.graphs.csr import _column_weights, _vertex_ids
 from repro.util.validation import require
 
 
@@ -195,13 +195,7 @@ def mpc_bfs_distances(
     require(radius is None or radius >= 0, "radius must be >= 0")
     mask = csr.residual_mask(within)
     dist = np.full(csr.n, -1, dtype=np.int64)
-    src = np.fromiter(sources, dtype=np.int64)
-    if src.size:
-        require(
-            src.min() >= 0 and src.max() < csr.n,
-            "sources contain out-of-range vertices",
-        )
-    src = np.unique(src)
+    src = np.unique(_vertex_ids(sources, csr.n))
     if mask is not None:
         src = src[mask[src]]
     if src.size == 0:

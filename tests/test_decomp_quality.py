@@ -62,12 +62,6 @@ class TestSummarize:
         s = summarize_decomposition(g, bogus, validate=False)
         assert s.unclustered_fraction == pytest.approx(2 / 6)
 
-    def test_subset_fraction_override(self):
-        g = cycle_graph(10)
-        d = elkin_neiman_ldd(g, 0.5, seed=1, within=set(range(5)))
-        s = summarize_decomposition(g, d, n_override=5)
-        assert s.unclustered_fraction == len(d.deleted) / 5
-
 
 class TestRunTrials:
     def test_collects_all_trials(self):

@@ -193,12 +193,6 @@ class TestKernelEquivalence:
             within=within
         ) == graph.connected_components(within=within)
 
-    @pytest.mark.parametrize("name,graph", POOL)
-    def test_weak_diameter(self, name, graph):
-        rng = _rng(name)
-        subset = rng.choice(graph.n, size=max(2, graph.n // 3), replace=False).tolist()
-        assert graph.csr().weak_diameter(subset) == graph.weak_diameter(subset)
-
     @pytest.mark.parametrize("name,graph", POOL[::5])
     def test_distances_from_matrix(self, name, graph):
         sources = list(range(0, graph.n, 3))
@@ -224,6 +218,110 @@ class TestKernelEquivalence:
         chunked_power = csr.power(2, chunk_size=chunk_size)
         assert chunked_power == graph.power(2)
         assert chunked_power._adj == graph.power(2)._adj
+
+
+def _weak_diameter_cases():
+    """``(name, graph, subset)``: a random subset of every pool graph,
+    then inputs whose subset is far shallower than the graph — arcs of
+    a long cycle (one wrapping past 0) and path, a path's two ends,
+    and subsets split across components (weak diameter inf)."""
+    cases = [
+        (name, graph, _rng(name).choice(
+            graph.n, size=max(2, graph.n // 3), replace=False
+        ).tolist())
+        for name, graph in POOL
+    ]
+    cycle, path = cycle_graph(6000), path_graph(3000)
+    split = cycle_graph(300).union_disjoint(path_graph(200))
+    cases += [
+        ("cycle-6000-arc41", cycle, list(range(5980, 6000)) + list(range(21))),
+        ("cycle-6000-arc177", cycle, list(range(1000, 1177))),
+        ("path-3000-arc", path, list(range(2900, 3000))),
+        ("path-3000-ends", path, [0, 1, 2998, 2999]),
+        ("split-cycle-path", split, [0, 1, 150, 300, 301, 499]),
+    ]
+    return cases
+
+
+WEAK_DIAMETER_CASES = _weak_diameter_cases()
+
+
+class TestTargetBoundedDistances:
+    """``distances_from(..., targets=)``, the sweep behind every weak
+    diameter and the sparse-cover membership, equals the ``targets``
+    columns of the full matrix and the reference BFS at 1 and 2 kernel
+    workers, and stops at the depth of its own pairs."""
+
+    @pytest.mark.parametrize("kernel_workers", [1, 2])
+    @pytest.mark.parametrize("name,graph", POOL[::3])
+    def test_pool_columns(self, name, graph, kernel_workers):
+        rng = _rng(name + "-targets")
+        csr = graph.csr()
+        mask = rng.random(graph.n) < 0.6
+        sources = rng.choice(graph.n, size=max(1, graph.n // 3), replace=False).tolist()
+        # unsorted, with repeats, and partly outside the mask
+        targets = rng.integers(0, graph.n, size=graph.n // 2 + 1).tolist()
+        masked = set(np.flatnonzero(mask).tolist())
+        for within, ref_within in ((None, None), (mask, masked)):
+            for radius, chunk_size in ((None, None), (2, None), (None, 7)):
+                full = csr.distances_from(sources, radius, within, chunk_size)
+                got = csr.distances_from(
+                    sources, radius, within, chunk_size, kernel_workers, targets=targets
+                )
+                assert got.tobytes() == full[:, targets].tobytes()
+                for row, s in enumerate(sources):
+                    ref = graph.bfs_distances([s], radius, within=ref_within)
+                    assert got[row].tolist() == [ref.get(t, -1) for t in targets]
+
+    @pytest.mark.parametrize("kernel_workers", [1, 2])
+    @pytest.mark.parametrize(
+        "name,graph,subset",
+        WEAK_DIAMETER_CASES,
+        ids=[c[0] for c in WEAK_DIAMETER_CASES],
+    )
+    def test_weak_diameter(self, name, graph, subset, kernel_workers):
+        csr = graph.csr()
+        assert csr.weak_diameter(subset, kernel_workers) == graph.weak_diameter(subset)
+        if graph.n < 1000:
+            return  # the pool graphs are covered column by column above
+        got = csr.distances_from(subset, kernel_workers=kernel_workers, targets=subset)
+        for row, s in enumerate(subset):
+            ref = graph.bfs_distances([s])
+            assert got[row].tolist() == [ref.get(t, -1) for t in subset]
+
+    @pytest.mark.parametrize("name", ["cycle-6000-arc41", "path-3000-arc"])
+    def test_long_arc_full_matrix_columns(self, name):
+        _, graph, arc = next(c for c in WEAK_DIAMETER_CASES if c[0] == name)
+        csr = graph.csr()
+        full = csr.distances_from(arc)
+        assert csr.distances_from(arc, targets=arc).tobytes() == full[:, arc].tobytes()
+
+    @pytest.mark.parametrize("kernel_workers", [1, 2])
+    def test_empty_sources_or_targets(self, kernel_workers):
+        csr = grid_graph(4, 4).csr()
+        for sources, targets in (([], [1, 2]), ([0, 3], []), ([], [])):
+            got = csr.distances_from(
+                sources, kernel_workers=kernel_workers, targets=targets
+            )
+            assert got.shape == (len(sources), len(targets))
+            assert got.dtype == np.int64
+        with pytest.raises(ValueError, match="targets"):
+            csr.distances_from([0], targets=[16])
+
+    def test_arc_sweeps_only_its_own_depth(self, monkeypatch):
+        """A 177-vertex arc of cycle-6000 has weak diameter 176, so its
+        sweep needs at most 177 of the cycle's 3000 levels."""
+        levels = []
+        expand = csr_module._PackedSweep.expand
+
+        def counting(self, *args):
+            levels.append(1)
+            return expand(self, *args)
+
+        monkeypatch.setattr(csr_module._PackedSweep, "expand", counting)
+        csr = cycle_graph(6000).csr()
+        assert csr.weak_diameter(range(1000, 1177), kernel_workers=1) == 176
+        assert 0 < len(levels) <= 177
 
 
 class TestShiftedFloodReference:

@@ -176,13 +176,11 @@ class TestConsumerBitIdentity:
             graph, LddParams.practical(0.3, graph.n), seed=2
         )
         serial = decomposition_stats(
-            graph, decomposition.clusters, decomposition.deleted,
-            compute_strong=True,
+            graph, decomposition.clusters, decomposition.deleted
         )
         monkeypatch.setenv(parallel.KERNEL_WORKERS_ENV, "2")
         sharded = decomposition_stats(
-            graph, decomposition.clusters, decomposition.deleted,
-            compute_strong=True,
+            graph, decomposition.clusters, decomposition.deleted
         )
         assert serial == sharded
 
