@@ -9,8 +9,12 @@ amortize the traversal across all sources simultaneously:
 
 * :meth:`CsrGraph.all_ball_sizes` — ball sizes (optionally weighted)
   from every source at once, via bit-packed frontier expansion: the
-  per-source visited sets are packed 8 sources per byte and one numpy
-  ``bitwise_or.reduceat`` per BFS level advances *all* frontiers.
+  per-source visited sets are packed 64 sources per uint64 word and
+  one :class:`_PackedSweep` level (Δ gathers through a degree-padded
+  neighbor table, or one segmented ``bitwise_or.reduceat``) advances
+  *all* frontiers.  The engine owns a sweep's frontier and visited
+  sets, and its gathers write into their ``out`` buffers directly
+  (``mode="clip"``: the default mode makes numpy buffer ``out``).
 * :meth:`CsrGraph.ball_size_estimate` — the unweighted ``n_v``
   estimate: component sizes for provably saturated balls and a
   certified maximum depth, sweeping only the sources left open.
@@ -115,81 +119,109 @@ def _vertex_ids(ids: Iterable[int], n: int, what: str = "sources") -> np.ndarray
 
 
 class _PackedSweep:
-    """Preallocated expansion engine for one packed multi-source BFS.
+    """One packed multi-source BFS, owner of its frontier and visited.
 
-    An instance serves a fixed word width: :meth:`expand` advances all
-    packed frontiers one synchronous level reusing the same gather and
-    scratch storage every call — the per-level allocations of the
-    original kernel (a fresh ``nnz × W`` gather plus reduceat output
-    per level) dominated its runtime at n = 10^5.  On graphs with a
-    near-uniform degree distribution the segmented
-    ``bitwise_or.reduceat`` is replaced by Δ whole-array gathers
-    through the degree-padded neighbor table
-    (:meth:`CsrGraph._padded_adjacency`), which runs ~5x faster at
-    small Δ because it skips reduceat's per-segment inner loop.
+    Sources are packed 64 per uint64 word.  ``visited`` is the (n, W)
+    set of bits reached so far; the frontier lives in the first n rows
+    of the (n + 1, W) stage that every gather reads, and
+    :meth:`expand` writes the next frontier back there, so a level
+    copies nothing between callers and engine.  Row n is the phantom
+    endpoint of the padded table's filler slots and stays all-zero.
+
+    On near-uniform degrees a level is Δ whole-array gathers through
+    the degree-padded neighbor table
+    (:meth:`CsrGraph._padded_adjacency`); it runs ~5x faster at small
+    Δ than the segmented ``bitwise_or.reduceat`` that skewed degrees
+    keep, because it skips reduceat's per-segment inner loop.  Every
+    gather passes ``mode="clip"``: numpy buffers ``out`` whenever
+    ``mode="raise"`` (the default), so each default ``take`` wrote an
+    n × W temporary and then copied it (2.9 ms against 1.2 ms per
+    gather at n = 20000, W = 64 on a 2-core Xeon, numpy 2.4).  The
+    indices are always in range (the table holds ``<= n`` against
+    n + 1 stage rows, ``_gather_index`` holds ``< n``), so clipping
+    never fires.  The gather, reach and scratch buffers are allocated
+    once per word width and reused every level; ``visited`` and
+    scratch swap roles each level, so no buffer is copied.
     """
 
-    __slots__ = ("csr", "words", "pad", "_stage", "_gather", "_reach", "_scratch")
+    __slots__ = (
+        "csr",
+        "pad",
+        "visited",
+        "_outside",
+        "_stage",
+        "_gather",
+        "_reach",
+        "_scratch",
+    )
 
-    def __init__(self, csr: "CsrGraph", words: int) -> None:
+    def __init__(
+        self, csr: "CsrGraph", sources: np.ndarray, mask: Optional[np.ndarray]
+    ) -> None:
+        """Level 0: lane j holds ``sources[j]`` (see
+        :meth:`CsrGraph._seed_packed`); the sweep never leaves ``mask``."""
+        visited = csr._seed_packed(sources, len(sources), mask)
+        n, words = visited.shape
         self.csr = csr
-        self.words = words
-        n = csr.n
-        self.pad = csr._padded_adjacency() if csr.nnz else None
-        self._stage = None
-        self._gather = None
-        if self.pad is not None:
-            # Row n is the phantom endpoint of padding slots; it stays
-            # all-zero so padded gathers contribute nothing.
-            self._stage = np.zeros((n + 1, words), dtype=np.uint64)
-        elif csr.nnz:
+        self.pad = csr._padded_adjacency()
+        self.visited = visited
+        self._outside = None if mask is None else np.flatnonzero(~mask)
+        self._stage = np.zeros((n + 1, words), dtype=np.uint64)
+        self._stage[:n] = visited
+        self._buffers(words)
+
+    def _buffers(self, words: int) -> None:
+        """(Re)allocate the per-level buffers at ``words`` wide."""
+        csr = self.csr
+        self._gather = self._reach = self._scratch = None  # free the old width
+        if self.pad is None:
             self._gather = np.empty((csr.nnz + 1, words), dtype=np.uint64)
-        self._reach = np.empty((n, words), dtype=np.uint64)
-        self._scratch = np.empty((n, words), dtype=np.uint64)
+        self._reach = np.empty((csr.n, words), dtype=np.uint64)
+        self._scratch = np.empty((csr.n, words), dtype=np.uint64)
 
-    def expand(
-        self,
-        frontier: np.ndarray,
-        visited: np.ndarray,
-        mask: Optional[np.ndarray],
-    ) -> np.ndarray:
-        """One synchronous level of the packed multi-source BFS.
+    def expand(self) -> np.ndarray:
+        """Advance every frontier one synchronous level.
 
-        ORs every frontier bit into its row's neighbors, prunes
-        already-visited bits, applies ``mask`` and updates ``visited``
-        in place.  Returns the newly-visited bits in an internal buffer
-        that stays valid until the next call — callers may hand it back
-        as the next frontier (the staging copy happens before the
-        buffer is overwritten).
+        ORs each frontier bit into its row's neighbors, drops rows
+        outside the mask and bits already visited, and adds the rest to
+        ``visited``.  Returns the new frontier, a view of the stage that
+        the next call reads and then overwrites.
         """
         csr = self.csr
         n = csr.n
-        reach, scratch = self._reach, self._scratch
-        if csr.nnz == 0:
-            reach[:] = 0
-            return reach
+        stage, reach, scratch = self._stage, self._reach, self._scratch
+        new = stage[:n]
         if self.pad is not None:
             _obs.count("csr.sweep.padded_take_levels")
-            stage = self._stage
-            stage[:n] = frontier
-            np.take(stage, self.pad[:, 0], axis=0, out=reach)
+            np.take(stage, self.pad[:, 0], axis=0, out=reach, mode="clip")
             for d in range(1, self.pad.shape[1]):
-                np.take(stage, self.pad[:, d], axis=0, out=scratch)
+                np.take(stage, self.pad[:, d], axis=0, out=scratch, mode="clip")
                 np.bitwise_or(reach, scratch, out=reach)
         else:
             _obs.count("csr.sweep.reduceat_levels")
             gathered = self._gather
-            np.take(frontier, csr._gather_index, axis=0, out=gathered)
+            np.take(stage, csr._gather_index, axis=0, out=gathered, mode="clip")
             gathered[-1] = 0  # padding row: keeps the last segment harmless
             np.bitwise_or.reduceat(gathered, csr._starts, axis=0, out=reach)
             if csr._zero_degree is not None:
                 reach[csr._zero_degree] = 0
-        np.invert(visited, out=scratch)
-        np.bitwise_and(reach, scratch, out=reach)
-        if mask is not None:
-            reach[~mask] = 0
-        np.bitwise_or(visited, reach, out=visited)
-        return reach
+        if self._outside is not None:
+            reach[self._outside] = 0
+        # The frontier was read; scratch takes visited | reach and the
+        # stage the bits that were not in visited, then the two visited
+        # buffers swap roles.
+        visited = self.visited
+        np.bitwise_or(visited, reach, out=scratch)
+        np.bitwise_xor(scratch, visited, out=new)
+        self.visited, self._scratch = scratch, visited
+        return new
+
+    def keep(self, cols: np.ndarray) -> None:
+        """Narrow the sweep to the word columns ``cols`` (retired words
+        are dropped; their bits must be read off ``visited`` first)."""
+        self.visited = np.ascontiguousarray(self.visited[:, cols])
+        self._stage = np.ascontiguousarray(self._stage[:, cols])
+        self._buffers(len(cols))
 
 
 class CsrGraph:
@@ -534,9 +566,12 @@ class CsrGraph:
     ) -> None:
         """Saturation-retiring packed sweep of one source chunk.
 
-        Sources are packed 64 per uint64 word, and one
-        :meth:`_PackedSweep.expand` per BFS level advances all of their
-        frontiers from level 0.  A source whose frontier empties has
+        Sources are packed 64 per uint64 word into one
+        :class:`_PackedSweep`, which owns their frontier and visited
+        bits; one :meth:`_PackedSweep.expand` per BFS level advances
+        every frontier from level 0 with unbuffered gathers, and this
+        loop only reads the new bits for depths and retirement.  A
+        source whose frontier empties has
         saturated its (residual) component — every remaining radius
         step is a no-op for it and its ball size is final
         (``= |component|`` on an unrestricted sweep).  Once every
@@ -545,14 +580,16 @@ class CsrGraph:
         level's gather width.  The chunk exits when all words have
         retired, so a whole-graph ``radius`` never runs past the
         residual diameter (the old kernel's failure mode at n = 10^5,
-        where ``radius ≈ 900`` met a diameter-20 graph).  With
+        where ``radius ≈ 900`` met a diameter-20 graph).  Dropping a
+        word is :meth:`_PackedSweep.keep`, after its sizes are read
+        off the engine's ``visited``.  With
         ``sizes_out=None`` only the depths are recorded: retired words
         are dropped without counting their bits.
         """
         count = len(s_chunk)
         if count == 0:
             return
-        visited = self._seed_packed(s_chunk, count, mask)
+        sweep = _PackedSweep(self, s_chunk, mask)
 
         def harvest(out: np.ndarray, packed: np.ndarray, word_ids: np.ndarray) -> None:
             _obs.count("csr.ball.harvested_words", int(word_ids.size))
@@ -562,13 +599,11 @@ class CsrGraph:
                 top = min(count, base + 64)
                 out[base:top] = totals[64 * j : 64 * j + (top - base)]
 
-        active = np.arange(visited.shape[1], dtype=np.int64)  # original word ids
-        sweep = _PackedSweep(self, len(active))
-        frontier = visited.copy()
+        active = np.arange(sweep.visited.shape[1], dtype=np.int64)  # original word ids
         lanes = np.arange(64, dtype=np.int64)
         r = 0
         while active.size and (radius is None or r < radius):
-            new = sweep.expand(frontier, visited, mask)
+            new = sweep.expand()
             _obs.count("csr.ball.packed_levels")
             live_words = np.bitwise_or.reduce(new, axis=0)
             live = live_words != 0
@@ -581,21 +616,18 @@ class CsrGraph:
             cols = (active[:, None] * 64 + lanes[None, :]).ravel()[grew]
             depths_out[cols[cols < count]] = r
             if live.all():
-                frontier = new
                 continue
             retired = np.nonzero(~live)[0]
             _obs.count("csr.ball.words_retired", int(retired.size))
             if sizes_out is not None:
-                harvest(sizes_out, visited[:, retired], active[retired])
+                harvest(sizes_out, sweep.visited[:, retired], active[retired])
             keep = np.nonzero(live)[0]
             active = active[keep]
-            visited = np.ascontiguousarray(visited[:, keep])
-            frontier = np.ascontiguousarray(new[:, keep])
-            sweep = _PackedSweep(self, len(keep))
+            sweep.keep(keep)
         if active.size:
             _obs.count("csr.ball.words_retired", int(active.size))
             if sizes_out is not None:
-                harvest(sizes_out, visited, active)
+                harvest(sizes_out, sweep.visited, active)
 
     def ball_size_estimate(
         self,
@@ -796,10 +828,9 @@ class CsrGraph:
         since no later level could write a column.
         """
         count = len(s_chunk)
-        visited = self._seed_packed(s_chunk, count, mask)
-        sweep = _PackedSweep(self, visited.shape[1])
+        sweep = _PackedSweep(self, s_chunk, mask)
         cols = slice(None) if targets is None else targets
-        hit = self._unpack(visited[cols], count).T
+        hit = self._unpack(sweep.visited[cols], count).T
         block = np.full(hit.shape, -1, dtype=np.int64)
         block[hit] = 0
         left = None
@@ -807,10 +838,9 @@ class CsrGraph:
             lanes = count if mask is None else np.count_nonzero(mask[s_chunk])
             live = len(targets) if mask is None else np.count_nonzero(mask[targets])
             left = int(lanes * live - np.count_nonzero(hit))
-        frontier = visited.copy()
         r = 0
         while left != 0 and (radius is None or r < radius):
-            new = sweep.expand(frontier, visited, mask)
+            new = sweep.expand()
             if not new.any():
                 break
             r += 1
@@ -818,7 +848,6 @@ class CsrGraph:
             block[hit] = r
             if left is not None:
                 left -= int(np.count_nonzero(hit))
-            frontier = new
         return block
 
     # ------------------------------------------------------------------
@@ -874,15 +903,11 @@ class CsrGraph:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``G^k`` edges incident to one source chunk, as (u, v) u < v."""
         count = len(s_chunk)
-        visited = self._seed_packed(s_chunk, count, None)
-        sweep = _PackedSweep(self, visited.shape[1])
-        frontier = visited.copy()
+        sweep = _PackedSweep(self, s_chunk, None)
         for _ in range(k):
-            new = sweep.expand(frontier, visited, None)
-            if not new.any():
+            if not sweep.expand().any():
                 break
-            frontier = new
-        unpacked = self._unpack(visited, count)
+        unpacked = self._unpack(sweep.visited, count)
         reached, col = np.nonzero(unpacked)
         source = s_chunk[col]
         keep = reached < source  # each unordered pair once, as (u, v) u < v
@@ -957,56 +982,6 @@ class CsrGraph:
         if (dist < 0).any():
             return float("inf")
         return float(dist.max())
-
-    def diameter(self, kernel_workers: Optional[int] = None) -> float:
-        """Graph diameter (``inf`` when disconnected, 0 when n <= 1), the
-        maximum of :meth:`eccentricities`."""
-        if self.n == 0:
-            return 0
-        return float(self.eccentricities(kernel_workers=kernel_workers).max())
-
-    def eccentricities(
-        self,
-        chunk_size: Optional[int] = None,
-        kernel_workers: Optional[int] = None,
-    ) -> np.ndarray:
-        """Per-vertex eccentricities as a float64 array (``inf`` when the
-        vertex cannot reach every other vertex).
-
-        Batched counterpart of looping :meth:`Graph.eccentricity` over
-        all vertices; sources are processed in packed chunks so the
-        distance matrix never materializes beyond one chunk.
-        ``kernel_workers`` shards the chunks over worker processes; the
-        per-chunk reduction (exact integer maxima) happens worker-side,
-        so only (chunk,)-sized results travel back and the array is
-        bit-identical at any worker count.
-        """
-        ecc = np.zeros(self.n, dtype=np.float64)
-        chunk = self._chunk_width(chunk_size)
-        workers = _parallel.resolve_kernel_workers(kernel_workers)
-        if workers > 1 and chunk_size is None and self.n:
-            chunk = max(1, min(chunk, -(-self.n // workers)))
-        ranges = [
-            (lo, min(self.n, lo + chunk)) for lo in range(0, self.n, chunk)
-        ]
-        with _obs.span("csr.eccentricities"):
-            if workers > 1 and len(ranges) > 1:
-                results = _parallel.run_chunk_tasks(
-                    self, "ecc", ranges, (), workers
-                )
-                for (lo, hi), block in zip(ranges, results, strict=True):
-                    ecc[lo:hi] = block
-                return ecc
-            for lo, hi in ranges:
-                ecc[lo:hi] = self._ecc_chunk(lo, hi)
-            return ecc
-
-    def _ecc_chunk(self, lo: int, hi: int) -> np.ndarray:
-        """Eccentricities of vertices ``lo..hi-1`` as (hi-lo,) float64."""
-        dist = self.distances_from(range(lo, hi), chunk_size=max(1, hi - lo))
-        block = dist.max(axis=1).astype(np.float64)
-        block[(dist < 0).any(axis=1)] = np.inf
-        return block
 
     def girth(
         self,

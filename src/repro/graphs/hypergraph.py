@@ -126,19 +126,6 @@ class Hypergraph:
             touched.update(self._incidence[v])
         return sorted(touched)
 
-    def edges_crossing(self, a: Set[int], b: Set[int]) -> List[int]:
-        """Hyperedge indices intersecting both ``a`` and ``b``.
-
-        Used by the covering carve (Algorithm 7): the hyperedges between
-        layers ``S_{j*}`` and ``S_{j*+1}`` are deleted once satisfied.
-        """
-        result = []
-        for j in self.edges_touching(a):
-            e = self._edges[j]
-            if e & b:
-                result.append(j)
-        return result
-
     def restrict_edges(self, keep: Iterable[int]) -> "Hypergraph":
         """Sub-hypergraph with only the hyperedges indexed by ``keep``
         (same vertex set)."""
@@ -152,14 +139,3 @@ class Hypergraph:
     def from_graph_edges(cls, graph: Graph) -> "Hypergraph":
         """One hyperedge per graph edge (e.g. MIS / vertex-cover ILPs)."""
         return cls(graph.n, [set(e) for e in graph.edges()])
-
-    @classmethod
-    def from_closed_neighborhoods(cls, graph: Graph, k: int = 1) -> "Hypergraph":
-        """One hyperedge ``N^k[v]`` per vertex (k-distance dominating set).
-
-        For ``k = 1`` this is the standard dominating-set hypergraph;
-        one LOCAL round on it equals ``k`` rounds on ``graph``
-        (Definition 1.3 discussion).
-        """
-        require(k >= 1, f"k must be >= 1, got {k}")
-        return cls(graph.n, [graph.ball(v, k) for v in range(graph.n)])

@@ -332,9 +332,6 @@ def _run_kernel_chunk(spec: Dict[str, Any], kind: str, common: tuple, payload):
     if kind == "dist":
         radius, mask, targets = common
         return csr._distances_chunk(payload, radius, mask, targets)
-    if kind == "ecc":
-        lo, hi = payload
-        return csr._ecc_chunk(lo, hi)
     if kind == "power":
         (k,) = common
         return csr._power_chunk(payload, k)

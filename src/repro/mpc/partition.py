@@ -117,8 +117,11 @@ class ShardKernel:
         mask_owned: Optional[np.ndarray],
     ) -> np.ndarray:
         """One packed level over the owned rows: the rank-local half of
+        the segmented-reduceat arm of
         :meth:`repro.graphs.csr._PackedSweep.expand`.
 
+        Unlike that engine, which owns its frontier and visited sets,
+        this kernel keeps no sweep state: the driver passes them in.
         ``frontier_local`` is the (n_local, W) frontier — owned rows
         first, halo rows as received this round (absent halo rows stay
         zero, exactly the value they carry).  Returns the newly-reached

@@ -468,6 +468,127 @@ class TestSaturationShortcut:
         assert (pad[(pad >= 0)] <= graph.n).all()
 
 
+def _fresh_csr(graph, arm):
+    """A CSR of ``graph`` whose sweep takes the given expansion arm."""
+    csr = CsrGraph(graph)
+    if arm == "reduceat":
+        csr._padded = None  # decline the padded table
+    assert (csr._padded_adjacency() is not None) == (arm == "padded")
+    return csr
+
+
+def _packed_columns(csr, packed, count):
+    """Vertex sets of the first ``count`` lanes of a packed (n, W) array."""
+    bits = csr._unpack(packed, count)
+    return [set(np.flatnonzero(bits[:, j]).tolist()) for j in range(count)]
+
+
+def _packed_sweep_cases():
+    from repro.graphs import star_graph
+
+    rng = np.random.default_rng(7)
+    sparse = erdos_renyi(90, 0.04, rng)
+    return [
+        ("grid-9x11", grid_graph(9, 11), "padded", None),
+        ("grid-9x11", grid_graph(9, 11), "reduceat", None),
+        ("star-150", star_graph(150), "reduceat", None),
+        # Zero-degree rows: the padded arm's all-phantom rows and the
+        # reduceat arm's empty segments (which read the next row's first
+        # neighbor, or the zeroed padding row when trailing) must read 0.
+        ("path-40+isolated-5", path_graph(40).union_disjoint(Graph(5)), "padded", None),
+        ("star-60+isolated-5", star_graph(60).union_disjoint(Graph(5)), "reduceat", None),
+        ("isolated-5+star-60", Graph(5).union_disjoint(star_graph(60)), "reduceat", None),
+        ("edgeless-7", Graph(7), "reduceat", None),
+        ("er-90-within", sparse, "padded", rng.random(90) < 0.7),
+        ("er-90-within", sparse, "reduceat", rng.random(90) < 0.7),
+    ]
+
+
+class TestPackedSweep:
+    """The engine level by level against the pure-Python BFS: every
+    frontier is one distance layer and ``visited`` the ball so far."""
+
+    @pytest.mark.parametrize(
+        "name,graph,arm,mask",
+        _packed_sweep_cases(),
+        ids=[f"{c[0]}-{c[2]}" for c in _packed_sweep_cases()],
+    )
+    def test_levels_match_python_bfs(self, name, graph, arm, mask):
+        csr = _fresh_csr(graph, arm)
+        sources = np.arange(0, graph.n, 3, dtype=np.int64)
+        count = len(sources)
+        within = None if mask is None else np.flatnonzero(mask).tolist()
+        dist = [graph.bfs_distances([int(s)], within=within) for s in sources]
+        sweep = csr_module._PackedSweep(csr, sources, mask)
+        frontier = _packed_columns(csr, sweep.visited, count)
+        level = 0
+        while any(frontier):
+            for j in range(count):
+                layer = {v for v, d in dist[j].items() if d == level}
+                assert frontier[j] == layer, (name, level, j)
+                ball = {v for v, d in dist[j].items() if d <= level}
+                assert _packed_columns(csr, sweep.visited, count)[j] == ball
+            frontier = _packed_columns(csr, sweep.expand(), count)
+            level += 1
+        assert level == 1 + max(max(d.values(), default=0) for d in dist)
+        final = _packed_columns(csr, sweep.visited, count)
+        assert final == [set(d) for d in dist]
+
+    @pytest.mark.parametrize("arm", ["padded", "reduceat"])
+    def test_retired_words_leave_the_rest_exact(self, arm):
+        """Words whose lanes stop growing are dropped with ``keep``
+        while the remaining word expands on, exact, to its last level."""
+        graph = _shattered_graph(50).union_disjoint(path_graph(70))
+        csr = _fresh_csr(graph, arm)
+        # Path-3 components fill words 0 and 1; word 2 holds an end
+        # (eccentricity 69) and an inner vertex of the path.
+        sources = np.concatenate((np.arange(128), [150, 180])).astype(np.int64)
+        count = len(sources)
+        dist = [graph.bfs_distances([int(s)]) for s in sources]
+        sweep = csr_module._PackedSweep(csr, sources, None)
+        active = np.arange(sweep.visited.shape[1])
+        level = 0
+        retired_at = {}
+        while active.size:
+            new = sweep.expand()
+            level += 1
+            assert level <= 70
+            live = np.bitwise_or.reduce(new, axis=0) != 0
+            for slot, word in enumerate(active.tolist()):
+                lanes = range(64 * word, min(count, 64 * word + 64))
+                word_bits = slice(slot, slot + 1)
+                layer = _packed_columns(csr, new[:, word_bits], len(lanes))
+                ball = _packed_columns(csr, sweep.visited[:, word_bits], len(lanes))
+                for col, j in enumerate(lanes):
+                    assert layer[col] == {v for v, d in dist[j].items() if d == level}
+                    assert ball[col] == {v for v, d in dist[j].items() if d <= level}
+            if not live.all():
+                for word in active[~live].tolist():
+                    retired_at[word] = level
+                sweep.keep(np.flatnonzero(live))
+                active = active[live]
+        assert retired_at == {0: 3, 1: 3, 2: 70}
+        assert sweep.visited.shape == (graph.n, 0)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [grid_graph(6, 7), path_graph(30).union_disjoint(Graph(3)), cycle_graph(50)],
+        ids=["grid-6x7", "path-30+isolated-3", "cycle-50"],
+    )
+    def test_gather_indices_stay_in_range(self, graph):
+        """``mode="clip"`` on every gather is a no-op: the padded table
+        points at most at the phantom row n of the n + 1 stage rows,
+        and the reduceat gather index stays below n."""
+        csr = CsrGraph(graph)
+        n = graph.n
+        pad = csr._padded_adjacency()
+        assert pad is not None and pad.min() >= 0 and pad.max() <= n
+        assert csr._gather_index.min() >= 0 and csr._gather_index.max() < n
+        sweep = csr_module._PackedSweep(csr, np.arange(n), None)
+        assert sweep._stage.shape == (n + 1, sweep.visited.shape[1])
+        assert not sweep._stage[n].any()
+
+
 def _mixed_union():
     """Isolated vertices, cycles and paths (whose depths do not certify)
     beside a grid, a caterpillar and a sparse random graph."""

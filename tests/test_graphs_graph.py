@@ -220,8 +220,21 @@ class TestFromNetworkxRelabelling:
         assert [g.degree(v) for v in range(3)] == [1, 2, 1]
 
 
+def _csr_eccentricities(graph):
+    """Per-vertex eccentricities read off the CSR distance rows (``inf``
+    for a vertex that cannot reach every other vertex)."""
+    dist = graph.csr().distances_from(range(graph.n))
+    ecc = dist.max(axis=1, initial=0).astype(np.float64)
+    ecc[(dist < 0).any(axis=1)] = np.inf
+    return ecc
+
+
+def _csr_diameter(graph):
+    return float(_csr_eccentricities(graph).max(initial=0))
+
+
 class TestDiameterBackends:
-    """Graph.diameter/eccentricity on the CSR kernel vs python BFS."""
+    """Graph.diameter/eccentricity against the CSR distance kernel."""
 
     CASES = (
         Graph(0, []),
@@ -232,9 +245,7 @@ class TestDiameterBackends:
     )
 
     def test_diameter_matches_python(self):
-        import numpy as np
-
-        from repro.graphs import grid_graph, random_tree
+        from repro.graphs import random_tree
 
         graphs = [
             *self.CASES,
@@ -242,31 +253,28 @@ class TestDiameterBackends:
             random_tree(30, np.random.default_rng(1)),
         ]
         for graph in graphs:
-            assert graph.diameter() == graph.csr().diameter(), graph
+            assert graph.diameter() == _csr_diameter(graph), graph
 
     def test_eccentricity_matches_python(self):
         for graph in self.CASES:
+            ecc = _csr_eccentricities(graph)
             for v in range(graph.n):
-                assert graph.eccentricity(v) == graph.csr().eccentricities()[
-                    v
-                ], (graph, v)
+                assert graph.eccentricity(v) == ecc[v], (graph, v)
 
     def test_strong_diameter_matches_kernel(self):
-        from repro.graphs import grid_graph
-
         graph = grid_graph(4, 4)
         subset = [0, 1, 2, 5, 6]
         sub, _ = graph.induced_subgraph(subset)
-        assert graph.strong_diameter(subset) == sub.csr().diameter()
+        assert graph.strong_diameter(subset) == _csr_diameter(sub)
 
     def test_csr_eccentricities_batch(self):
-        import numpy as np
-
-        from repro.graphs import grid_graph
-
+        """On a connected graph the all-source ball depths at an
+        unbounded radius are the eccentricities."""
         graph = grid_graph(4, 5)
-        ecc = graph.csr().eccentricities()
-        assert ecc.shape == (20,)
-        assert [graph.eccentricity(v) for v in range(graph.n)] == ecc.tolist()
+        _, depths = graph.csr().all_ball_sizes(None)
+        assert depths.shape == (20,)
+        assert [graph.eccentricity(v) for v in range(graph.n)] == depths.tolist()
+        assert depths.tolist() == _csr_eccentricities(graph).tolist()
         disconnected = Graph(3, [(0, 1)])
-        assert np.isinf(disconnected.csr().eccentricities()).all()
+        assert np.isinf(_csr_eccentricities(disconnected)).all()
+

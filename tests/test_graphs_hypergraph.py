@@ -3,6 +3,7 @@
 import pytest
 
 from repro.graphs import Hypergraph, cycle_graph, path_graph
+from repro.ilp.problems import min_dominating_set_ilp
 
 
 class TestConstruction:
@@ -43,7 +44,7 @@ class TestPrimalGraph:
         # Dominating-set hypergraph of a path: hyperedge per closed
         # neighborhood; primal distance halves (k=1 keeps them equal-ish).
         g = path_graph(6)
-        h = Hypergraph.from_closed_neighborhoods(g, k=1)
+        h = min_dominating_set_ilp(g).hypergraph()
         p = h.primal_graph()
         # 0 and 2 share the hyperedge N[1], so they are primal-adjacent.
         assert p.has_edge(0, 2)
@@ -51,11 +52,10 @@ class TestPrimalGraph:
 
 
 class TestEdgeQueries:
-    def test_edges_inside_touching_crossing(self):
+    def test_edges_inside_touching(self):
         h = Hypergraph(5, [{0, 1}, {1, 2, 3}, {3, 4}])
         assert h.edges_inside({0, 1, 2}) == [0]
         assert h.edges_touching({1}) == [0, 1]
-        assert h.edges_crossing({1}, {3}) == [1]
 
     def test_restrict_edges(self):
         h = Hypergraph(5, [{0, 1}, {1, 2, 3}, {3, 4}])
@@ -66,7 +66,7 @@ class TestEdgeQueries:
 
     def test_closed_neighborhood_hyperedges(self):
         g = cycle_graph(4)
-        h = Hypergraph.from_closed_neighborhoods(g, k=1)
+        h = min_dominating_set_ilp(g).hypergraph()
         assert h.m == 4
         assert h.edge(0) == frozenset({3, 0, 1})
 

@@ -122,7 +122,7 @@ class TestKernelBitIdentity:
             sharded = csr.all_ball_sizes(kernel_workers=workers, **kwargs)
             assert _bytes(serial) == _bytes(sharded), kwargs
 
-    def test_distances_and_eccentricities(self, label, graph, workers):
+    def test_distances(self, label, graph, workers):
         csr = graph.csr()
         serial = csr.distances_from(range(graph.n), chunk_size=11)
         sharded = csr.distances_from(
@@ -133,9 +133,6 @@ class TestKernelBitIdentity:
         # integer distances make any chunking bit-identical.
         auto = csr.distances_from(range(graph.n), kernel_workers=workers)
         assert serial.tobytes() == auto.tobytes()
-        ecc1 = csr.eccentricities(chunk_size=17)
-        ecc2 = csr.eccentricities(chunk_size=17, kernel_workers=workers)
-        assert ecc1.tobytes() == ecc2.tobytes()
 
     def test_power_and_weak_diameter(self, label, graph, workers):
         csr = graph.csr()
@@ -188,7 +185,10 @@ class TestConsumerBitIdentity:
         graph = random_regular(200, 4, np.random.default_rng(9))
         csr = graph.csr()
         assert csr.power(2) == csr.power(2, kernel_workers=2)
-        assert csr.diameter() == csr.diameter(kernel_workers=2)
+        everything = range(graph.n)
+        assert csr.weak_diameter(everything) == csr.weak_diameter(
+            everything, kernel_workers=2
+        )
         assert csr.girth() == csr.girth(kernel_workers=2)
 
 
