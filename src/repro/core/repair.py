@@ -46,7 +46,7 @@ from repro.core.params import LddParams
 from repro.decomp.types import Decomposition
 from repro.graphs.graph import Graph
 from repro.util.rng import RngStream
-from repro.util.validation import require
+from repro.util.validation import check_int_array, require
 
 Edge = Tuple[int, int]
 
@@ -81,27 +81,62 @@ class RepairResult:
     full_rebuild: bool
 
 
-def _normalized(edges: Iterable[Edge]) -> List[Edge]:
-    out = []
-    for u, v in edges:
-        require(u != v, "churn edges must join distinct vertices")
-        out.append((u, v) if u < v else (v, u))
-    return out
+def _normalized(edges: Iterable[Edge]) -> np.ndarray:
+    """``edges`` as an (m, 2) int64 array, each row oriented ``u < v``.
+
+    Self-loops are rejected, and so are non-integral endpoints (rather
+    than truncated).  Ranges are checked by the callers, whose messages
+    differ.
+    """
+    pairs = check_int_array("churn edge endpoints", list(edges))
+    if not pairs.size:
+        return np.empty((0, 2), dtype=np.int64)
+    require(
+        pairs.ndim == 2 and pairs.shape[1] == 2,
+        "churn edges must be vertex pairs",
+    )
+    require(
+        not bool((pairs[:, 0] == pairs[:, 1]).any()),
+        "churn edges must join distinct vertices",
+    )
+    return np.sort(pairs, axis=1)
 
 
 def apply_churn(graph: Graph, batch: ChurnBatch) -> Graph:
-    """The post-churn graph (same vertex set, edited edge set)."""
-    edges = set(graph.edges())
-    for edge in _normalized(batch.removed):
-        require(edge in edges, "removed edge is not in the graph")
-        edges.discard(edge)
-    for edge in _normalized(batch.added):
+    """The post-churn graph (same vertex set, edited edge set).
+
+    Works on ``u * n + v`` keys of the ``u < v`` edges: the old graph's
+    keys come off its CSR upper triangle (already sorted), removals are
+    located with one ``searchsorted`` and deleted, and the additions are
+    appended for :meth:`Graph.from_edge_arrays` to sort and deduplicate.
+    Every removal must be an edge of the graph, and an edge removed
+    twice in one batch is missing the second time.
+    """
+    with _obs.span("repair.apply_churn"):
+        n = graph.n
+        csr = graph.csr()
+        heads = np.repeat(np.arange(n, dtype=np.int64), csr.degrees)
+        upper = csr.indices > heads
+        keys = heads[upper] * n + csr.indices[upper]
+        removed = _normalized(batch.removed)
+        if removed.size:
+            missing = "removed edge is not in the graph"
+            require(bool((removed >= 0).all() and (removed < n).all()), missing)
+            gone = np.sort(removed[:, 0] * n + removed[:, 1])
+            require(not bool((gone[1:] == gone[:-1]).any()), missing)
+            at = np.searchsorted(keys, gone)
+            require(bool((at < keys.size).all()), missing)
+            require(bool((keys[at] == gone).all()), missing)
+            keys = np.delete(keys, at)
+        added = _normalized(batch.added)
         require(
-            0 <= edge[0] < graph.n and 0 <= edge[1] < graph.n,
+            bool((added >= 0).all() and (added < n).all()),
             "added edge endpoint out of range",
         )
-        edges.add(edge)
-    return Graph(graph.n, sorted(edges))
+        lo, hi = np.divmod(keys, max(n, 1))
+        return Graph.from_edge_arrays(
+            n, np.concatenate((lo, added[:, 0])), np.concatenate((hi, added[:, 1]))
+        )
 
 
 def sample_churn(
@@ -192,13 +227,12 @@ def repair_decomposition(
     module docstring for the argument); its ledger is the recarve's
     ledger — the rounds repair actually paid.
     """
-    dirty_edges = _normalized(dirty_edges)
-    for u, v in dirty_edges:
-        require(
-            0 <= u < graph.n and 0 <= v < graph.n,
-            "churn edge endpoint out of range (vertex churn is not supported)",
-        )
-    if not dirty_edges:
+    churned = _normalized(dirty_edges)
+    require(
+        bool((churned >= 0).all() and (churned < graph.n).all()),
+        "churn edge endpoint out of range (vertex churn is not supported)",
+    )
+    if not churned.size:
         return RepairResult(
             decomposition=decomposition,
             dirty_clusters=(),
@@ -208,7 +242,7 @@ def repair_decomposition(
         )
 
     with _obs.span("repair.classify"):
-        dirty = dirty_cluster_indices(decomposition, dirty_edges)
+        dirty = dirty_cluster_indices(decomposition, churned.tolist())
         clean = [
             i for i in range(len(decomposition.clusters)) if i not in dirty
         ]

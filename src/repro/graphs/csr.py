@@ -284,21 +284,23 @@ class CsrGraph:
         self._shared = None  # shared-memory export, built lazily
 
     @classmethod
-    def _from_shared_arrays(
+    def _from_arrays(
         cls,
         indptr: np.ndarray,
         indices: np.ndarray,
-        padded: Optional[np.ndarray],
+        padded: Optional[np.ndarray] | bool = False,
     ) -> "CsrGraph":
-        """Worker-side constructor over shared-memory CSR arrays.
+        """Constructor over ready CSR arrays.
 
-        ``indptr``/``indices`` (and ``padded``, when the parent's
-        skew check admitted the table) are zero-copy views of the
-        parent's :mod:`multiprocessing.shared_memory` segments; ``n``
-        and ``nnz`` are read off them and the derived arrays are
-        rebuilt locally in O(n + m).  ``padded=None`` replays the
-        parent's decision to keep the segmented-reduceat expansion, so
-        every worker computes exactly what the serial loop would.
+        ``n`` and ``nnz`` are read off ``indptr``/``indices`` and the
+        derived arrays are built in O(n + m).  :meth:`Graph.from_edge_arrays`
+        passes the arrays it sorted; a kernel worker passes zero-copy
+        views of the parent's :mod:`multiprocessing.shared_memory`
+        segments together with the parent's ``padded`` table, where
+        ``padded=None`` replays the parent's decision to keep the
+        segmented-reduceat expansion, so every worker computes exactly
+        what the serial loop would.  The default ``False`` builds the
+        table lazily.
         """
         csr = object.__new__(cls)
         csr._init_from_arrays(
@@ -822,32 +824,43 @@ class CsrGraph:
         """Distance rows of one source chunk: (len(s_chunk), n) int64, or
         its ``targets`` columns.
 
-        With ``targets``, ``left`` counts the (lane, target) pairs still
-        unreached among those that can be reached at all (seeded lanes,
-        targets inside the mask); the sweep stops when it hits zero,
-        since no later level could write a column.
+        Each level writes back only the rows (vertices, or target
+        columns) where the new frontier has a bit: those rows are
+        unpacked and their hits scattered into ``block``, so the
+        write-back scales with the frontier while the sweep's own
+        expansion stays O(n·W) per level.  With ``targets``, ``left``
+        counts the (lane, target) pairs still unreached among those that
+        can be reached at all (seeded lanes, targets inside the mask);
+        the sweep stops when it hits zero, since no later level could
+        write a column.
         """
         count = len(s_chunk)
         sweep = _PackedSweep(self, s_chunk, mask)
-        cols = slice(None) if targets is None else targets
-        hit = self._unpack(sweep.visited[cols], count).T
-        block = np.full(hit.shape, -1, dtype=np.int64)
-        block[hit] = 0
+        width = self.n if targets is None else len(targets)
+        block = np.full((count, width), -1, dtype=np.int64)
+
+        def write(frontier: np.ndarray, r: int) -> int:
+            sub = frontier if targets is None else frontier[targets]
+            rows = np.flatnonzero(sub.any(axis=1))
+            at, lane = np.nonzero(self._unpack(sub[rows], count))
+            block[lane, rows[at]] = r
+            return int(lane.size)
+
+        hits = write(sweep.visited, 0)
         left = None
         if targets is not None:
             lanes = count if mask is None else np.count_nonzero(mask[s_chunk])
             live = len(targets) if mask is None else np.count_nonzero(mask[targets])
-            left = int(lanes * live - np.count_nonzero(hit))
+            left = int(lanes * live - hits)
         r = 0
         while left != 0 and (radius is None or r < radius):
             new = sweep.expand()
             if not new.any():
                 break
             r += 1
-            hit = self._unpack(new[cols], count).T
-            block[hit] = r
+            hits = write(new, r)
             if left is not None:
-                left -= int(np.count_nonzero(hit))
+                left -= hits
         return block
 
     # ------------------------------------------------------------------
@@ -861,10 +874,10 @@ class CsrGraph:
     ):
         """The k-th power graph ``G^k`` (edge when ``1 <= dist <= k``).
 
-        Batched reachability from every vertex followed by a trusted
-        bulk :class:`Graph` construction — no per-edge Python loop.
-        ``kernel_workers`` shards the source chunks over worker
-        processes; the final lexsort orders the merged edge arrays
+        Batched reachability from every vertex followed by one
+        :meth:`Graph.from_edge_arrays` construction — no per-edge Python
+        loop.  ``kernel_workers`` shards the source chunks over worker
+        processes; the constructor sorts the merged edge arrays
         globally, so the produced graph is identical at any worker
         count (and any chunking).
         """
@@ -895,8 +908,7 @@ class CsrGraph:
                     vs.append(chunk_vs)
         u_all = np.concatenate(us) if us else np.empty(0, dtype=np.int64)
         v_all = np.concatenate(vs) if vs else np.empty(0, dtype=np.int64)
-        order = np.lexsort((v_all, u_all))
-        return Graph._from_sorted_edge_arrays(self.n, u_all[order], v_all[order])
+        return Graph.from_edge_arrays(self.n, u_all, v_all)
 
     def _power_chunk(
         self, s_chunk: np.ndarray, k: int

@@ -20,37 +20,6 @@ from repro.util.rng import RngStream, ensure_rng
 from repro.util.validation import require
 
 
-def _graph_from_edge_arrays(n: int, us, vs) -> Graph:
-    """Normalize raw endpoint arrays and build a :class:`Graph` in bulk.
-
-    Accepts arbitrary-order endpoints, orients each edge ``u < v``,
-    lexicographically sorts and deduplicates, then hands the validated
-    arrays to :meth:`Graph._from_sorted_edge_arrays` — skipping the
-    per-edge Python loop that dominates construction time at
-    ``n >= 10^5``.
-    """
-    us = np.asarray(us, dtype=np.int64).ravel()
-    vs = np.asarray(vs, dtype=np.int64).ravel()
-    require(us.shape == vs.shape, "endpoint arrays must have equal length")
-    if us.size == 0:
-        return Graph(n, [])
-    require(
-        int(us.min()) >= 0
-        and int(vs.min()) >= 0
-        and int(us.max()) < n
-        and int(vs.max()) < n,
-        "edge endpoints out of range",
-    )
-    require(not bool((us == vs).any()), "self-loops are not allowed")
-    lo = np.minimum(us, vs)
-    hi = np.maximum(us, vs)
-    order = np.lexsort((hi, lo))
-    lo, hi = lo[order], hi[order]
-    keep = np.ones(lo.size, dtype=bool)
-    keep[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-    return Graph._from_sorted_edge_arrays(n, lo[keep], hi[keep])
-
-
 def path_graph(n: int) -> Graph:
     """Path on ``n`` vertices ``0 - 1 - ... - (n-1)``."""
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
@@ -60,7 +29,7 @@ def cycle_graph(n: int) -> Graph:
     """Cycle on ``n >= 3`` vertices (array-backed construction)."""
     require(n >= 3, f"cycle needs n >= 3, got {n}")
     us = np.arange(n, dtype=np.int64)
-    return _graph_from_edge_arrays(n, us, (us + 1) % n)
+    return Graph.from_edge_arrays(n, us, (us + 1) % n)
 
 
 def complete_graph(n: int) -> Graph:
@@ -97,7 +66,7 @@ def grid_graph(rows: int, cols: int, torus: bool = False) -> Graph:
     if torus and rows > 2:
         us.append(idx[-1, :])
         vs.append(idx[0, :])
-    return _graph_from_edge_arrays(
+    return Graph.from_edge_arrays(
         rows * cols,
         np.concatenate([a.ravel() for a in us]),
         np.concatenate([a.ravel() for a in vs]),
@@ -197,7 +166,7 @@ def random_regular(n: int, d: int, rng: Optional[RngStream] = None) -> Graph:
         hi = np.maximum(u, w)
         if np.unique(lo * n + hi).size != lo.size:
             continue
-        return _graph_from_edge_arrays(n, lo, hi)
+        return Graph.from_edge_arrays(n, lo, hi)
     raise RuntimeError(f"failed to sample a {d}-regular graph on {n} vertices")
 
 
@@ -403,7 +372,7 @@ def random_geometric(
         us, vs = _geometric_edges_cells(xs, ys, radius, r2)
     else:
         us, vs = _geometric_edges_blocked(xs, ys, r2)
-    g = _graph_from_edge_arrays(n, us, vs)
+    g = Graph.from_edge_arrays(n, us, vs)
     if not connect or n == 0:
         return g
     components = g.connected_components()
@@ -427,7 +396,7 @@ def random_geometric(
         extra_vs.append(b)
         components[0] = components[0] | components[1]
         del components[1]
-    return _graph_from_edge_arrays(
+    return Graph.from_edge_arrays(
         n,
         np.concatenate([us, np.asarray(extra_us, dtype=np.int64)]),
         np.concatenate([vs, np.asarray(extra_vs, dtype=np.int64)]),

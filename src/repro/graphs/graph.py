@@ -25,7 +25,9 @@ from typing import (
     Tuple,
 )
 
-from repro.util.validation import check_vertex, require
+import numpy as np
+
+from repro.util.validation import check_int_array, check_vertex, require
 
 
 class Graph:
@@ -238,17 +240,29 @@ class Graph:
         """Induced subgraph on ``vertices``.
 
         Returns ``(subgraph, mapping)`` where ``mapping`` sends original
-        labels to subgraph labels ``0..k-1`` (sorted order).
+        labels to subgraph labels ``0..k-1`` (sorted order).  Built on
+        the CSR arrays: the kept vertices' neighbor segments are gathered
+        in one pass and relabelled through an (n,) array, and the edges
+        that land inside the subset with ``u < w`` are already the
+        subgraph's sorted edge list.
         """
         vs = sorted(set(vertices))
         mapping = {v: i for i, v in enumerate(vs)}
-        sub_edges = [
-            (mapping[u], mapping[w])
-            for u in vs
-            for w in self._adj[u]
-            if u < w and w in mapping
-        ]
-        return Graph(len(vs), sub_edges), mapping
+        keep = check_int_array("vertices", vs)
+        require(
+            not keep.size or (int(keep[0]) >= 0 and int(keep[-1]) < self.n),
+            "induced subgraph vertices out of range",
+        )
+        csr = self.csr()
+        relabel = np.full(self.n, -1, dtype=np.int64)
+        relabel[keep] = np.arange(keep.size, dtype=np.int64)
+        tails = relabel[csr._neighbors_of(keep)]
+        heads = np.repeat(
+            np.arange(keep.size, dtype=np.int64), csr.degrees[keep]
+        )
+        inside = tails > heads
+        sub = Graph.from_edge_arrays(keep.size, heads[inside], tails[inside])
+        return sub, mapping
 
     # ------------------------------------------------------------------
     # Derived graphs
@@ -379,34 +393,56 @@ class Graph:
         return cls(len(nodes), edges)
 
     @classmethod
-    def _from_sorted_edge_arrays(cls, n: int, us, vs) -> "Graph":
-        """Trusted bulk constructor used by the CSR kernels.
+    def from_edge_arrays(cls, n: int, us, vs) -> "Graph":
+        """Build from endpoint arrays in bulk (the array constructor).
 
-        ``us``/``vs`` are numpy int arrays that must already be
-        validated: in range, self-loop-free, deduplicated, ``us < vs``
-        elementwise, and lexicographically sorted.  Skips the per-edge
-        Python loop of ``__init__`` (the dominant cost when kernels
-        emit tens of thousands of edges at once).
+        ``us``/``vs`` hold integer endpoints in any order and
+        orientation.  Each edge is oriented ``u < v`` and keyed
+        ``u * n + v``; the keys are sorted and deduplicated (skipped
+        when they already increase strictly), with out-of-range
+        endpoints, non-integral values and self-loops rejected.  The
+        one sorted key array then yields ``_edges``, the ``_adj`` tuples
+        and the CSR arrays that :meth:`csr` returns, with no per-edge
+        validation loop and no per-vertex CSR rebuild.
         """
-        import numpy as np
+        from repro.graphs.csr import CsrGraph
 
+        require(n >= 0, f"n must be non-negative, got {n}")
+        us = check_int_array("edge endpoints", us).ravel()
+        vs = check_int_array("edge endpoints", vs).ravel()
+        require(us.shape == vs.shape, "endpoint arrays must have equal length")
+        if us.size:
+            require(
+                int(min(us.min(), vs.min())) >= 0
+                and int(max(us.max(), vs.max())) < n,
+                "edge endpoints out of range",
+            )
+            require(not bool((us == vs).any()), "self-loops are not allowed")
+        lo = np.minimum(us, vs)
+        hi = np.maximum(us, vs)
+        key = lo * n + hi
+        if key.size > 1 and not bool((key[1:] > key[:-1]).all()):
+            # Sort and drop repeats (np.unique takes ~20x longer here).
+            key = np.sort(key)
+            fresh = np.ones(key.size, dtype=bool)
+            np.not_equal(key[1:], key[:-1], out=fresh[1:])
+            key = key[fresh]
+            lo, hi = np.divmod(key, n)
         graph = object.__new__(cls)
         graph.n = n
-        graph._csr = None
-        edges = list(zip(us.tolist(), vs.tolist(), strict=True))
-        graph._edges = tuple(edges)
+        # Both orientations sorted by (head, tail) are the CSR rows.
+        arcs = np.sort(np.concatenate((key, hi * n + lo)))
+        indptr = np.searchsorted(arcs, np.arange(n + 1, dtype=np.int64) * n)
+        indptr = indptr.astype(np.int64, copy=False)
+        tails = np.remainder(arcs, max(n, 1), out=arcs)
+        graph._csr = CsrGraph._from_arrays(indptr, tails)
+        edges = tuple(zip(lo.tolist(), hi.tolist(), strict=True))
+        graph._edges = edges
         graph._frozen_edge_set = frozenset(edges)
-        if n == 0:
-            graph._adj = ()
-            return graph
-        heads = np.concatenate((us, vs))
-        tails = np.concatenate((vs, us))
-        order = np.lexsort((tails, heads))
-        heads, tails = heads[order], tails[order]
-        counts = np.bincount(heads, minlength=n) if len(heads) else np.zeros(n, dtype=np.int64)
-        splits = np.cumsum(counts)[:-1]
+        flat = tuple(tails.tolist())
+        bounds = indptr.tolist()
         graph._adj = tuple(
-            tuple(part.tolist()) for part in np.split(tails, splits)
+            [flat[a:b] for a, b in zip(bounds[:-1], bounds[1:], strict=True)]
         )
         return graph
 

@@ -220,7 +220,7 @@ def _attach(spec: Dict[str, Any]):
             arrays[field] = np.ndarray(
                 tuple(shape), dtype=np.dtype(dtype), buffer=shm.buf
             )
-        csr = CsrGraph._from_shared_arrays(
+        csr = CsrGraph._from_arrays(
             arrays["indptr"], arrays["indices"], arrays.get("padded")
         )
     except BaseException:

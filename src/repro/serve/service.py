@@ -108,9 +108,12 @@ class QueryService:
     ) -> List[np.ndarray]:
         """Per source: sorted cluster ids reachable within ``radius`` hops.
 
-        One batched BFS over the CSR kernels (radius-capped, so cost is
-        proportional to the balls actually explored, not the graph);
-        unclustered reachable vertices contribute nothing.
+        One batched BFS over the CSR kernels, capped at ``radius``
+        levels; unclustered reachable vertices contribute nothing.  The
+        cost is not proportional to the balls: every packed level
+        expands all n rows (O(n·W) for W = ⌈sources/64⌉ words), and each
+        source's label read scans its whole (n,) distance row.  Only the
+        distance write-back scales with the frontier.
         """
         batch = np.asarray(sources, dtype=np.int64)
         dist = self.csr.distances_from(batch, radius=radius)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Any
 
+import numpy as np
+
 
 def require(condition: bool, message: str) -> None:
     """Raise ``ValueError`` with ``message`` unless ``condition`` holds."""
@@ -42,3 +44,20 @@ def check_vertex(name: str, vertex: Any, n: int) -> int:
     if not 0 <= v < n:
         raise ValueError(f"{name} must be in [0, {n}), got {vertex!r}")
     return v
+
+
+def check_int_array(name: str, values: Any) -> np.ndarray:
+    """``values`` as an int64 array, rejecting non-integral entries.
+
+    Integer dtypes pass through; a float entry must hold an integral
+    value of int64 size (``2.0``), so ``1.5`` raises instead of being truncated by an
+    ``int64`` cast.  An empty input gives an empty int64 array.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind in "iu" or arr.size == 0:
+        return arr.astype(np.int64, copy=False)
+    if arr.dtype.kind == "f":
+        exact = (arr == np.trunc(arr)) & (np.abs(arr) < 2.0**62)
+        if bool(exact.all()):
+            return arr.astype(np.int64)
+    raise ValueError(f"{name} must be integers, got dtype {arr.dtype}")

@@ -97,3 +97,32 @@ def _brute_force_records(graph, shifts, within=None):
 def brute_force_records():
     """The flood oracle :func:`_brute_force_records` (EN/MPX/sparse cover)."""
     return _brute_force_records
+
+
+def _assert_same_graph(got, want):
+    """``got`` equals ``want`` in every stored field: ``_edges``,
+    ``_adj``, the edge set behind ``has_edge``, ``==``/``hash``, and the
+    CSR arrays against the per-vertex :class:`CsrGraph` build of
+    ``want`` (values and dtypes)."""
+    from repro.graphs.csr import CsrGraph
+
+    assert got.n == want.n
+    assert got._edges == want._edges
+    assert got._adj == want._adj
+    assert got._frozen_edge_set == want._frozen_edge_set
+    assert got == want and hash(got) == hash(want)
+    mine, ref = got.csr(), CsrGraph(want)
+    assert (mine.n, mine.nnz) == (ref.n, ref.nnz)
+    for field in ("indptr", "indices", "degrees", "_gather_index", "_starts"):
+        a, b = getattr(mine, field), getattr(ref, field)
+        assert a.dtype == b.dtype and a.tolist() == b.tolist(), field
+    if ref._zero_degree is None:
+        assert mine._zero_degree is None
+    else:
+        assert mine._zero_degree.tolist() == ref._zero_degree.tolist()
+
+
+@pytest.fixture
+def assert_same_graph():
+    """The field-by-field graph comparison :func:`_assert_same_graph`."""
+    return _assert_same_graph

@@ -11,8 +11,10 @@ repair degenerates to a bit-exact full rebuild.
 
 import math
 
+import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import (
     ChurnBatch,
     LddParams,
@@ -22,9 +24,16 @@ from repro.core import (
     repair_decomposition,
     sample_churn,
 )
-from repro.graphs import cycle_graph, grid_graph, random_geometric
+from repro.graphs import (
+    Graph,
+    cycle_graph,
+    grid_graph,
+    random_geometric,
+    random_regular,
+)
 from repro.graphs.metrics import validate_partition
 from repro.util.rng import ensure_rng
+from repro.util.validation import require
 
 
 def diameter_budget(params: LddParams, ntilde: int) -> float:
@@ -156,6 +165,22 @@ class TestChurnPlumbing:
         with pytest.raises(Exception):
             apply_churn(graph, ChurnBatch(added=(), removed=((0, 5),)))
 
+    @pytest.mark.parametrize(
+        "edges, match",
+        [
+            ([(0, 300)], "vertex churn is not supported"),
+            ([(-1, 4)], "vertex churn is not supported"),
+            ([(7, 7)], "distinct vertices"),
+            ([(0, 1.5)], "integers"),
+        ],
+    )
+    def test_repair_rejects_bad_churn_edges(self, edges, match):
+        graph = cycle_graph(300)
+        params = fragmenting_params(graph.n)
+        dec = chang_li_ldd(graph, params, seed=1)
+        with pytest.raises(ValueError, match=match):
+            repair_decomposition(graph, dec, edges, params, seed=2)
+
     def test_dirty_cluster_indices(self):
         graph = cycle_graph(300)
         params = fragmenting_params(graph.n)
@@ -205,3 +230,139 @@ class TestChurnPlumbing:
             g2, dec, batch.edges, params, seed=5, validate=True
         )
         assert 0 <= result.readmitted_deleted <= len(dec.deleted)
+
+
+def set_apply_churn(graph, batch):
+    """The set-based ``apply_churn`` that the key-array version replaced,
+    kept as its reference."""
+
+    def normalized(edges):
+        out = []
+        for u, v in edges:
+            require(u != v, "churn edges must join distinct vertices")
+            out.append((u, v) if u < v else (v, u))
+        return out
+
+    edges = set(graph.edges())
+    for edge in normalized(batch.removed):
+        require(edge in edges, "removed edge is not in the graph")
+        edges.discard(edge)
+    for edge in normalized(batch.added):
+        require(
+            0 <= edge[0] < graph.n and 0 <= edge[1] < graph.n,
+            "added edge endpoint out of range",
+        )
+        edges.add(edge)
+    return Graph(graph.n, sorted(edges))
+
+
+def random_batch(graph, rng):
+    """Removals: distinct existing edges, some reversed.  Additions:
+    random pairs, including existing edges, repeats within the batch,
+    both orientations and edges removed by the same batch."""
+    edges = graph.edges()
+    removed = []
+    if edges:
+        size = int(rng.integers(0, min(12, len(edges)) + 1))
+        picks = rng.choice(len(edges), size=size, replace=False)
+        for p in picks.tolist():
+            u, v = edges[p]
+            removed.append((v, u) if rng.random() < 0.5 else (u, v))
+    added = []
+    for _ in range(int(rng.integers(0, 16))):
+        u, v = (int(x) for x in rng.choice(graph.n, size=2, replace=False))
+        added.append((u, v))
+    if added:
+        added.append(added[0])
+        added.append(added[-1][::-1])
+    if removed:
+        added.append(removed[0])
+    if edges:
+        added.append(edges[int(rng.integers(len(edges)))])
+    return ChurnBatch(added=tuple(added), removed=tuple(removed))
+
+
+CHURN_GRAPHS = [
+    pytest.param(lambda: grid_graph(9, 13), id="grid"),
+    pytest.param(lambda: grid_graph(1, 2), id="grid-1x2"),
+    pytest.param(lambda: cycle_graph(57), id="cycle"),
+    pytest.param(lambda: random_regular(60, 3, ensure_rng(2)), id="regular"),
+    # Built by Graph(n, edges): its CSR comes from the per-vertex path.
+    pytest.param(lambda: Graph(12, [(0, 5), (3, 4), (4, 9)]), id="sparse"),
+]
+
+
+class TestApplyChurnArrays:
+    """The key-array ``apply_churn`` builds the same graph as the set
+    code, field by field, over chains of random batches."""
+
+    @pytest.mark.parametrize("build", CHURN_GRAPHS)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_set_reference(self, build, seed, assert_same_graph):
+        rng = np.random.default_rng(seed)
+        graph = build()
+        for _ in range(4):
+            batch = random_batch(graph, rng)
+            got = apply_churn(graph, batch)
+            assert_same_graph(got, set_apply_churn(graph, batch))
+            for u, v in batch.added:
+                assert got.has_edge(u, v) and got.has_edge(v, u)
+            graph = got
+
+    def test_empty_batch(self, assert_same_graph):
+        graph = grid_graph(4, 5)
+        assert_same_graph(apply_churn(graph, ChurnBatch((), ())), graph)
+        assert_same_graph(apply_churn(Graph(0), ChurnBatch((), ())), Graph(0))
+
+    def test_add_existing_edge_is_noop(self, assert_same_graph):
+        graph = cycle_graph(8)
+        out = apply_churn(graph, ChurnBatch(added=((1, 0), (2, 3)), removed=()))
+        assert_same_graph(out, graph)
+
+    def test_remove_and_readd(self, assert_same_graph):
+        graph = cycle_graph(8)
+        out = apply_churn(graph, ChurnBatch(added=((3, 2),), removed=((2, 3),)))
+        assert_same_graph(out, graph)
+
+    def test_remove_everything(self, assert_same_graph):
+        graph = cycle_graph(5)
+        out = apply_churn(graph, ChurnBatch(added=(), removed=graph.edges()))
+        assert_same_graph(out, Graph(5))
+
+    @pytest.mark.parametrize(
+        "added, removed, match",
+        [
+            (((0, 10),), (), "added edge endpoint out of range"),
+            (((-1, 3),), (), "added edge endpoint out of range"),
+            (((4, 4),), (), "distinct vertices"),
+            ((), ((4, 4),), "distinct vertices"),
+            ((), ((0, 5),), "removed edge is not in the graph"),
+            ((), ((0, 1), (1, 0)), "removed edge is not in the graph"),
+            ((), ((0, 1), (0, 1)), "removed edge is not in the graph"),
+            ((), ((9, 10),), "removed edge is not in the graph"),
+            ((), ((-1, 0),), "removed edge is not in the graph"),
+            # The set code checks every removal before any addition.
+            (((0, 10),), ((0, 5),), "removed edge is not in the graph"),
+        ],
+    )
+    def test_rejects_like_the_set_code(self, added, removed, match):
+        graph = cycle_graph(10)
+        batch = ChurnBatch(added=added, removed=removed)
+        with pytest.raises(ValueError, match=match):
+            set_apply_churn(graph, batch)
+        with pytest.raises(ValueError, match=match):
+            apply_churn(graph, batch)
+
+    @pytest.mark.parametrize(
+        "added, removed",
+        [(((0, 2.5),), ()), ((), ((0, 1.5),)), (((0.5, 2),), ())],
+    )
+    def test_rejects_non_integer_endpoints(self, added, removed):
+        # The set code let Graph() truncate (0, 2.5) to (0, 2).
+        with pytest.raises(ValueError, match="integers"):
+            apply_churn(cycle_graph(10), ChurnBatch(added=added, removed=removed))
+
+    def test_traced_as_its_own_span(self):
+        with obs.collect() as col:
+            apply_churn(cycle_graph(10), ChurnBatch(added=((0, 5),), removed=()))
+        assert "repair.apply_churn" in col.span_table()

@@ -324,6 +324,70 @@ class TestTargetBoundedDistances:
         assert 0 < len(levels) <= 177
 
 
+def _distance_chunk_cases():
+    rng = np.random.default_rng(11)
+    cycle, grid = cycle_graph(400), grid_graph(13, 17)
+    return [
+        ("cycle-400", cycle, None),
+        ("cycle-400-within", cycle, rng.random(cycle.n) < 0.8),
+        ("grid-13x17", grid, None),
+        ("grid-13x17-within", grid, rng.random(grid.n) < 0.7),
+    ]
+
+
+DISTANCE_CHUNK_CASES = _distance_chunk_cases()
+
+
+class TestDistancesChunk:
+    """``_distances_chunk`` unpacks only the rows where the frontier has
+    bits; its rows equal ``Graph.bfs_distances`` on a long cycle and a
+    grid with ``radius``, ``within`` and ``targets`` (repeats included),
+    and ``distances_from`` (the sharded ``"dist"`` task under
+    ``REPRO_KERNEL_WORKERS=2``) returns the same bytes."""
+
+    @pytest.mark.parametrize("radius", [None, 0, 3, 150])
+    @pytest.mark.parametrize(
+        "name,graph,mask",
+        DISTANCE_CHUNK_CASES,
+        ids=[c[0] for c in DISTANCE_CHUNK_CASES],
+    )
+    def test_rows_match_reference(self, name, graph, mask, radius):
+        rng = _rng(name + "-chunk")
+        csr = graph.csr()
+        within = None if mask is None else set(np.flatnonzero(mask).tolist())
+        sources = rng.choice(graph.n, size=70, replace=False)  # two packed words
+        targets = np.concatenate(
+            (rng.integers(0, graph.n, size=40), sources[:5], sources[:5])
+        )
+        full = csr._distances_chunk(sources, radius, mask, None)
+        cols = csr._distances_chunk(sources, radius, mask, targets)
+        for row, s in enumerate(sources.tolist()):
+            ref = graph.bfs_distances([s], radius, within=within)
+            assert full[row].tolist() == [ref.get(v, -1) for v in range(graph.n)]
+            assert cols[row].tolist() == [ref.get(t, -1) for t in targets.tolist()]
+        got = csr.distances_from(sources, radius, mask)
+        assert got.tobytes() == full.tobytes()
+        got = csr.distances_from(sources, radius, mask, targets=targets)
+        assert got.tobytes() == cols.tobytes()
+
+    def test_write_back_scales_with_frontier(self, monkeypatch):
+        """Each vertex of a cycle enters one source's frontier once, so
+        the levels unpack n rows in all, not levels × n."""
+        rows = []
+        unpack = CsrGraph._unpack
+
+        def counting(packed, count):
+            rows.append(len(packed))
+            return unpack(packed, count)
+
+        monkeypatch.setattr(CsrGraph, "_unpack", staticmethod(counting))
+        dist = cycle_graph(2000).csr()._distances_chunk(
+            np.array([0]), None, None, None
+        )
+        assert dist.max() == 1000
+        assert sum(rows) == 2000
+
+
 class TestShiftedFloodReference:
     """The heap flood (the one engine of EN/MPX) vs a brute-force oracle
     that evaluates ``m_u(v) = T_u − dist(u, v)`` over every source."""

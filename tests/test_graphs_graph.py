@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs import Graph, cycle_graph, grid_graph, path_graph
+from repro.graphs import Graph, cycle_graph, erdos_renyi, grid_graph, path_graph
 
 
 def edges_strategy(max_n=12):
@@ -278,3 +278,133 @@ class TestDiameterBackends:
         disconnected = Graph(3, [(0, 1)])
         assert np.isinf(_csr_eccentricities(disconnected)).all()
 
+
+
+def _comprehension_induced_subgraph(graph, vertices):
+    """The per-vertex comprehension that ``induced_subgraph`` replaced,
+    kept as its reference."""
+    vs = sorted(set(vertices))
+    mapping = {v: i for i, v in enumerate(vs)}
+    sub_edges = [
+        (mapping[u], mapping[w])
+        for u in vs
+        for w in graph.neighbors(u)
+        if u < w and w in mapping
+    ]
+    return Graph(len(vs), sub_edges), mapping
+
+
+class TestFromEdgeArrays:
+    """``Graph.from_edge_arrays`` (generators, ``CsrGraph.power``,
+    ``apply_churn``, ``induced_subgraph``) builds exactly the graph
+    ``Graph(n, edges)`` builds, CSR arrays included."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_edge_lists(self, seed, assert_same_graph):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        m = int(rng.integers(0, 3 * n))
+        us = rng.integers(0, n, size=m)
+        vs = rng.integers(0, n, size=m)
+        keep = us != vs
+        us, vs = us[keep], vs[keep]
+        # Every third edge again, reversed: duplicates in both orientations.
+        us, vs = np.concatenate((us, vs[::3])), np.concatenate((vs, us[::3]))
+        edges = list(zip(us.tolist(), vs.tolist(), strict=True))
+        assert_same_graph(Graph.from_edge_arrays(n, us, vs), Graph(n, edges))
+
+    @given(edges_strategy())
+    @settings(max_examples=60, deadline=None)
+    def test_property(self, case):
+        n, edges = case
+        us = [u for u, _ in edges]
+        vs = [v for _, v in edges]
+        got = Graph.from_edge_arrays(n, us, vs)
+        want = Graph(n, edges)
+        assert (got._edges, got._adj) == (want._edges, want._adj)
+        assert got.csr().indices.tolist() == [w for a in want._adj for w in a]
+
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            (0, []),
+            (1, []),
+            (5, []),
+            (6, [(0, 1)]),  # trailing isolated vertices
+            (7, [(2, 1), (1, 2), (3, 0), (2, 1)]),
+            (4, [(0, 1), (0, 2), (0, 3), (1, 2)]),  # already sorted
+        ],
+    )
+    def test_edge_cases(self, n, edges, assert_same_graph):
+        us = [u for u, _ in edges]
+        vs = [v for _, v in edges]
+        assert_same_graph(Graph.from_edge_arrays(n, us, vs), Graph(n, edges))
+
+    def test_integral_floats_accepted(self, assert_same_graph):
+        got = Graph.from_edge_arrays(3, np.array([0.0, 2.0]), np.array([2.0, 1.0]))
+        assert_same_graph(got, Graph(3, [(0, 2), (1, 2)]))
+
+    @pytest.mark.parametrize(
+        "n, us, vs, match",
+        [
+            (3, [0], [3], "out of range"),
+            (3, [-1], [1], "out of range"),
+            (3, [1], [1], "self-loop"),
+            (3, [0.5], [1], "integers"),
+            (3, ["0"], [1], "integers"),
+            (3, [0, 1], [1], "equal length"),
+            (-1, [], [], "non-negative"),
+        ],
+    )
+    def test_rejects(self, n, us, vs, match):
+        with pytest.raises(ValueError, match=match):
+            Graph.from_edge_arrays(n, us, vs)
+
+    def test_csr_is_filled(self):
+        graph = Graph.from_edge_arrays(4, [0, 1], [1, 2])
+        assert graph._csr is not None
+        assert graph.csr() is graph._csr
+
+
+class TestInducedSubgraphArrays:
+    """The CSR-gather ``induced_subgraph`` equals the comprehension it
+    replaced: same subgraph fields, same ``mapping``."""
+
+    @staticmethod
+    def _graphs(rng):
+        n = int(rng.integers(2, 40))
+        return [
+            erdos_renyi(n, 0.15, rng),
+            grid_graph(int(rng.integers(1, 6)), int(rng.integers(1, 6))),
+            cycle_graph(int(rng.integers(3, 30))),
+            Graph(n + 3, [(0, 1), (1, 2)]),  # isolated trailing vertices
+        ]
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_matches_comprehension(self, seed, assert_same_graph):
+        rng = np.random.default_rng(seed)
+        for graph in self._graphs(rng):
+            size = int(rng.integers(0, graph.n + 1))
+            subsets = [
+                [],
+                [int(rng.integers(graph.n))],
+                range(graph.n),
+                rng.choice(graph.n, size=size, replace=False).tolist(),
+                # unsorted, with repeats, as a numpy array
+                rng.integers(0, graph.n, size=graph.n),
+            ]
+            for subset in subsets:
+                sub, mapping = graph.induced_subgraph(subset)
+                ref, ref_mapping = _comprehension_induced_subgraph(graph, subset)
+                assert mapping == ref_mapping
+                assert_same_graph(sub, ref)
+
+    def test_empty_graph(self, assert_same_graph):
+        sub, mapping = Graph(0).induced_subgraph([])
+        assert mapping == {}
+        assert_same_graph(sub, Graph(0))
+
+    @pytest.mark.parametrize("subset", [[0, 9], [-1, 2], [0.5]])
+    def test_rejects_bad_vertices(self, subset):
+        with pytest.raises(ValueError):
+            path_graph(9).induced_subgraph(subset)
